@@ -83,7 +83,7 @@ def test_engine_hotpath(benchmark, report):
         f"event engine, call chain:      {engine_stats['call_events_per_sec']:>12,.0f} events/s"
         "  (cancellable handles)",
         f"event engine, cancel churn:    {engine_stats['churn_ops_per_sec']:>12,.0f} schedules/s"
-        f"  (store held to {engine_stats['stored_churn_entries']:.0f} entries by compaction)",
+        f"  (heap held to {engine_stats['churn_heap_len']:.0f} entries by compaction)",
         f"sign test, threshold tables:   {sign_stats['table_samples_per_sec']:>12,.0f} samples/s",
         f"sign test, uncached tails:     {sign_stats['uncached_samples_per_sec']:>12,.0f} samples/s"
         "  (the pre-table first-visit cost per window size)",

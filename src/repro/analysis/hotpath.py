@@ -1,47 +1,22 @@
-"""Event-core hot-path microbenchmarks (shared by pytest and ``repro bench``).
+"""Event-core hot-path microbenchmark (shared by pytest and ``repro bench``).
 
-The simulator's inner loop is ``post_after`` → event store → dispatch
+The simulator's inner loop is ``Engine.post_after`` → heap → dispatch
 (docs/performance.md).  This module drives that loop directly — no kernel,
-no devices — so its throughput numbers isolate the event core itself.
-Every workload runs against a named core from
-:data:`repro.simos.kernel.ENGINE_CORES` (binary heap or hierarchical
-timing wheel), and each report compares the two side by side:
+no devices — so its throughput numbers isolate the event core itself:
 
-* **post chain** (``engine_hotpath``) — the allocation-free steady-state
-  path: each fired event posts the next with ``post_after``.  A single
-  sparse chain keeps the store tiny, which is the heap's best case.
-* **call chain** — the same chain through ``call_after``, measuring the
-  cancellable-handle overhead (the rare path).
+* **post chain** — the allocation-free steady-state path: each fired
+  event posts the next with :meth:`Engine.post_after`.  This is the
+  headline ``events_per_sec`` the CI perf gate tracks.
+* **call chain** — the same chain through :meth:`Engine.call_after`,
+  measuring the cancellable-handle overhead (the rare path).
 * **cancel churn** — schedule-and-cancel bursts shaped like a long
-  regulator suspension, exercising handle cancellation and threshold
+  regulator suspension, exercising handle cancellation and heap
   compaction.  ``rounds``/``burst`` are the churn knobs ``repro bench
   engine_hotpath --churn`` exposes.
-* **dense fleet** (``engine_wheel``) — thousands of concurrent timer
-  chains, the fleet-simulation regime where the store holds thousands of
-  live timers at once.  Here the heap pays ``O(log n)`` per op while the
-  wheel's slot insert/drain stays ``O(1)``; this report's headline is the
-  wheel's throughput, with the heap on the identical workload alongside.
-* **sharded fleet** (``engine_sharded``) — :class:`ChainMachine` fleets
-  through :class:`~repro.simos.shard.ShardedFleet` barrier rounds,
-  measuring aggregate events/s across worker processes and re-checking
-  the ``shards=1`` vs ``shards=N`` digest-parity contract every run.
-* **sparse chains** (``engine_sparse``) — a handful of live timer
-  chains, the near-idle regime that used to be the wheel's worst case
-  (per-event slot bookkeeping on a near-empty wheel).  The report is the
-  wheel-by-default safety gate: the wheel's sparse throughput must stay
-  within the CI band of its committed baseline, with the heap on the
-  identical workload alongside.
-* **imbalanced shards** (``shard_imbalanced``) — the
-  :func:`~repro.simos.shard.skewed_machine` fleet, where round-robin
-  placement lands every heavy machine on shard 0.  Runs the fleet with
-  and without work-stealing rebalancing and reports the critical-path
-  balance gain (deterministic, unlike wall time on a loaded CI box)
-  plus the digest-parity proof with migrations in play.
 
 Every run re-checks the optimization's correctness guards: the O(1)
-``pending`` counter must equal a full store scan, and compaction must
-have bounded the churn store.  A fast-but-wrong engine fails here, not
-in CI.
+``pending`` counter must equal a full heap scan, and compaction must have
+bounded the churn heap.  A fast-but-wrong engine fails here, not in CI.
 """
 
 from __future__ import annotations
@@ -52,51 +27,21 @@ from repro.simos.engine import Engine
 
 __all__ = [
     "live_entries",
-    "live_heap_entries",
-    "stored_entries",
     "run_engine_hotpath",
-    "run_dense_fleet",
-    "run_sparse_chains",
     "engine_hotpath_report",
-    "engine_wheel_report",
-    "engine_sharded_report",
-    "engine_sparse_report",
-    "shard_imbalanced_report",
 ]
 
 
-def live_entries(engine) -> int:
-    """Count live stored events the slow way, for either core.
-
-    Heap cores scan ``_heap``; wheel cores walk every band via
-    ``_entries()``.  Either way: plain posts plus uncancelled handles.
-    """
-    heap = getattr(engine, "_heap", None)
-    entries = heap if heap is not None else engine._entries()
-    return sum(1 for h in entries if h.__class__ is tuple or not h.cancelled)
+def live_entries(engine: Engine) -> int:
+    """Count live heap entries the slow way (plain posts + uncancelled handles)."""
+    return sum(
+        1 for h in engine._heap if h.__class__ is tuple or not h.cancelled
+    )
 
 
-#: Historical name from when the heap was the only core.
-live_heap_entries = live_entries
-
-
-def stored_entries(engine) -> int:
-    """Total stored entries (live + stale), for either core."""
-    heap = getattr(engine, "_heap", None)
-    if heap is not None:
-        return len(heap)
-    return sum(1 for _ in engine._entries())
-
-
-def _make(engine_core: str):
-    from repro.simos.kernel import make_engine
-
-    return make_engine(engine_core)
-
-
-def _run_post_chain(events: int, engine_core: str = "heap"):
+def _run_post_chain(events: int) -> Engine:
     """Fire a chain of handle-free posts: the steady-state dispatch path."""
-    engine = _make(engine_core)
+    engine = Engine()
     post_after = engine.post_after
 
     def tick(n):
@@ -108,9 +53,9 @@ def _run_post_chain(events: int, engine_core: str = "heap"):
     return engine
 
 
-def _run_call_chain(events: int, engine_core: str = "heap"):
+def _run_call_chain(events: int) -> Engine:
     """The same chain through cancellable handles (the rare path)."""
-    engine = _make(engine_core)
+    engine = Engine()
 
     def tick(n):
         if n > 0:
@@ -121,14 +66,14 @@ def _run_call_chain(events: int, engine_core: str = "heap"):
     return engine
 
 
-def _run_cancel_churn(rounds: int, burst: int, engine_core: str = "heap"):
+def _run_cancel_churn(rounds: int, burst: int) -> Engine:
     """Schedule-and-cancel churn shaped like regulator suspensions.
 
     Each round schedules ``burst`` timers, cancels all but one, and lets
     the survivor fire — cancelled entries continuously dominate fresh
     pushes, so the engine's threshold compaction path runs many times.
     """
-    engine = _make(engine_core)
+    engine = Engine()
     for _ in range(rounds):
         handles = [engine.call_after(float(i + 1), lambda: None) for i in range(burst)]
         for handle in handles[1:]:
@@ -137,71 +82,8 @@ def _run_cancel_churn(rounds: int, burst: int, engine_core: str = "heap"):
     return engine
 
 
-def run_dense_fleet(
-    chains: int = 4096, hops: int = 96, engine_core: str = "heap", delay: float = 1.0
-) -> float:
-    """Run ``chains`` concurrent timer chains; return events/s.
-
-    All chains start together and re-arm with the same ``delay``, so the
-    store holds ``chains`` live timers for the whole run — the regime a
-    fleet of simulated machines produces, and the one the timing wheel
-    is built for.
-    """
-    engine = _make(engine_core)
-    post_after = engine.post_after
-
-    def tick(n):
-        if n:
-            post_after(delay, tick, n - 1)
-
-    for _ in range(chains):
-        post_after(0.001, tick, hops)
-    events = chains * (hops + 1)
-    start = time.perf_counter()
-    engine.run()
-    wall = time.perf_counter() - start
-    assert engine.events_fired == events
-    assert engine.pending == 0
-    return events / wall
-
-
-def run_sparse_chains(
-    chains: int = 2,
-    hops: int = 50_000,
-    engine_core: str = "wheel",
-    delay: float = 0.05,
-) -> float:
-    """Run a near-idle workload of ``chains`` timer chains; return events/s.
-
-    With only a couple of live timers the store never grows, so all the
-    cost is per-event machinery: heap push/pop for the heap core, the
-    ready-band sparse bypass for the wheel.  This is the workload that
-    regressed before the bypass existed and the one the wheel-by-default
-    flip is gated on.
-    """
-    engine = _make(engine_core)
-    post_after = engine.post_after
-
-    def tick(n):
-        if n:
-            post_after(delay, tick, n - 1)
-
-    for _ in range(chains):
-        post_after(delay, tick, hops)
-    events = chains * (hops + 1)
-    start = time.perf_counter()
-    engine.run()
-    wall = time.perf_counter() - start
-    assert engine.events_fired == events
-    assert engine.pending == 0
-    return events / wall
-
-
 def run_engine_hotpath(
-    events: int = 30_000,
-    rounds: int = 2_000,
-    burst: int = 40,
-    engine_core: str = "heap",
+    events: int = 30_000, rounds: int = 2_000, burst: int = 40
 ) -> dict[str, float]:
     """Run the three chain/churn workloads; return throughput stats.
 
@@ -209,15 +91,15 @@ def run_engine_hotpath(
     counters and compaction must be invisible except for speed.
     """
     start = time.perf_counter()
-    posted = _run_post_chain(events, engine_core)
+    posted = _run_post_chain(events)
     post_wall = time.perf_counter() - start
 
     start = time.perf_counter()
-    called = _run_call_chain(events, engine_core)
+    called = _run_call_chain(events)
     call_wall = time.perf_counter() - start
 
     start = time.perf_counter()
-    churn = _run_cancel_churn(rounds, burst, engine_core)
+    churn = _run_cancel_churn(rounds, burst)
     churn_wall = time.perf_counter() - start
     ops = rounds * burst  # schedules; most are then cancelled
 
@@ -227,14 +109,14 @@ def run_engine_hotpath(
     # The O(1) counter must agree with a full scan after all that churn.
     for engine in (posted, called, churn):
         assert engine.pending == live_entries(engine)
-    # Compaction must have kept the store from retaining the churn.
-    assert stored_entries(churn) < ops / 4
+    # Compaction must have kept the heap from retaining the churn.
+    assert len(churn._heap) < ops / 4
 
     return {
         "post_events_per_sec": events / post_wall,
         "call_events_per_sec": events / call_wall,
         "churn_ops_per_sec": ops / churn_wall,
-        "stored_churn_entries": float(stored_entries(churn)),
+        "churn_heap_len": float(len(churn._heap)),
         "wall_time_s": post_wall + call_wall + churn_wall,
     }
 
@@ -244,28 +126,21 @@ def engine_hotpath_report(
 ) -> dict:
     """Best-of-``repeats`` stats as a ``BENCH_engine_hotpath.json`` payload.
 
-    ``events_per_sec`` (the key the CI perf gate compares) is the heap
-    core's post chain — the allocation-free path steady-state simulation
-    dispatches through.  The wheel core runs the identical workloads and
-    its numbers ride along (``wheel_*``) so both cores stay visible in
-    one report; the wheel's own gated headline is ``engine_wheel``.
+    ``events_per_sec`` (the key the CI perf gate compares) is the post
+    chain — the allocation-free path steady-state simulation dispatches
+    through.
     """
     from repro.analysis.parallel import code_fingerprint
 
     best: dict[str, float] = {}
     wall = 0.0
     for _ in range(max(1, repeats)):
-        for core in ("heap", "wheel"):
-            stats = run_engine_hotpath(
-                events=events, rounds=rounds, burst=burst, engine_core=core
-            )
-            wall += stats["wall_time_s"]
-            prefix = "" if core == "heap" else "wheel_"
-            for key, value in stats.items():
-                if key in ("stored_churn_entries", "wall_time_s"):
-                    continue
-                name = prefix + key
-                best[name] = max(best.get(name, 0.0), value)
+        stats = run_engine_hotpath(events=events, rounds=rounds, burst=burst)
+        wall += stats["wall_time_s"]
+        for key, value in stats.items():
+            if key in ("churn_heap_len", "wall_time_s"):
+                continue
+            best[key] = max(best.get(key, 0.0), value)
     return {
         "name": "engine_hotpath",
         "kind": "micro",
@@ -277,253 +152,6 @@ def engine_hotpath_report(
         "post_events_per_sec": round(best["post_events_per_sec"]),
         "call_events_per_sec": round(best["call_events_per_sec"]),
         "churn_ops_per_sec": round(best["churn_ops_per_sec"]),
-        "wheel_post_events_per_sec": round(best["wheel_post_events_per_sec"]),
-        "wheel_call_events_per_sec": round(best["wheel_call_events_per_sec"]),
-        "wheel_churn_ops_per_sec": round(best["wheel_churn_ops_per_sec"]),
-        "wall_time_s": round(wall, 4),
-        "code_fingerprint": code_fingerprint(),
-    }
-
-
-def engine_wheel_report(
-    chains: int = 4096, hops: int = 96, repeats: int = 5
-) -> dict:
-    """Dense-fleet throughput, wheel vs heap, as ``BENCH_engine_wheel.json``.
-
-    ``events_per_sec`` is the wheel core on the dense workload — the
-    number the CI perf gate holds against the committed baseline.  The
-    heap runs the identical workload for the side-by-side
-    ``speedup_vs_heap`` (the heap gets fewer repeats; it is the slow
-    reference, not the gated subject).
-    """
-    from repro.analysis.parallel import code_fingerprint
-
-    start = time.perf_counter()
-    wheel = max(
-        run_dense_fleet(chains, hops, "wheel") for _ in range(max(1, repeats))
-    )
-    heap = max(
-        run_dense_fleet(chains, hops, "heap")
-        for _ in range(max(1, min(repeats, 3)))
-    )
-    wall = time.perf_counter() - start
-    return {
-        "name": "engine_wheel",
-        "kind": "micro",
-        "chains": chains,
-        "hops": hops,
-        "repeats": repeats,
-        "events_per_sec": round(wheel),
-        "heap_events_per_sec": round(heap),
-        "speedup_vs_heap": round(wheel / heap, 2),
-        "wall_time_s": round(wall, 4),
-        "code_fingerprint": code_fingerprint(),
-    }
-
-
-def engine_sharded_report(
-    machines: int = 8,
-    shards: int | None = None,
-    rounds: int = 8,
-    chains: int = 512,
-    seed: int = 0,
-    repeats: int = 2,
-) -> dict:
-    """Sharded-fleet aggregate throughput as ``BENCH_engine_sharded.json``.
-
-    Runs the :class:`ChainMachine` fleet twice per repeat — inline
-    (``shards=1``) and sharded — and asserts the two digests match, so
-    the determinism contract is re-proven on every benchmark run, not
-    just in the test suite.  ``events_per_sec`` is the sharded layout's
-    aggregate dispatch rate (barrier exchange included, machine
-    construction excluded).
-    """
-    from functools import partial
-
-    from repro.analysis.parallel import code_fingerprint, resolve_shards
-    from repro.simos.shard import ChainMachine, ShardedFleet
-
-    shards = resolve_shards(shards, machines=machines, default=2)
-    make_machine = partial(ChainMachine, chains=chains)
-    serial_best = sharded_best = 0.0
-    digests: tuple[str, str] = ("", "")
-    events_fired = messages_routed = 0
-    start = time.perf_counter()
-    for _ in range(max(1, repeats)):
-        inline = ShardedFleet(machines, make_machine, shards=1, seed=seed)
-        t0 = time.perf_counter()
-        serial = inline.run(rounds)
-        serial_best = max(serial_best, serial.events_fired / (time.perf_counter() - t0))
-        with ShardedFleet(machines, make_machine, shards=shards, seed=seed) as fleet:
-            t0 = time.perf_counter()
-            result = fleet.run(rounds)
-            sharded_best = max(
-                sharded_best, result.events_fired / (time.perf_counter() - t0)
-            )
-        digests = (serial.digest, result.digest)
-        assert digests[0] == digests[1], (
-            f"shard digest parity broken: shards=1 {digests[0]} "
-            f"!= shards={shards} {digests[1]}"
-        )
-        events_fired = result.events_fired
-        messages_routed = result.messages_routed
-    wall = time.perf_counter() - start
-    return {
-        "name": "engine_sharded",
-        "kind": "micro",
-        "machines": machines,
-        "shards": shards,
-        "rounds": rounds,
-        "chains": chains,
-        "seed": seed,
-        "repeats": repeats,
-        "events_per_sec": round(sharded_best),
-        "serial_events_per_sec": round(serial_best),
-        "parallel_speedup": round(sharded_best / serial_best, 2),
-        "events_fired": events_fired,
-        "messages_routed": messages_routed,
-        "parity_ok": digests[0] == digests[1],
-        "digest": digests[0],
-        "wall_time_s": round(wall, 4),
-        "code_fingerprint": code_fingerprint(),
-    }
-
-
-def engine_sparse_report(
-    chains: int = 2, hops: int = 100_000, repeats: int = 3
-) -> dict:
-    """Sparse-chain throughput, wheel vs heap, as ``BENCH_engine_sparse.json``.
-
-    ``events_per_sec`` is the wheel core (the default engine) on the
-    near-idle workload — the number the CI perf gate holds against the
-    committed baseline so the wheel-by-default flip can never silently
-    regress the sparse regime.  The heap runs the identical workload and
-    rides along as ``heap_events_per_sec`` with the ``vs_heap`` ratio.
-    """
-    from repro.analysis.parallel import code_fingerprint
-
-    start = time.perf_counter()
-    wheel = max(
-        run_sparse_chains(chains, hops, "wheel") for _ in range(max(1, repeats))
-    )
-    heap = max(
-        run_sparse_chains(chains, hops, "heap") for _ in range(max(1, repeats))
-    )
-    wall = time.perf_counter() - start
-    return {
-        "name": "engine_sparse",
-        "kind": "micro",
-        "chains": chains,
-        "hops": hops,
-        "repeats": repeats,
-        "events_per_sec": round(wheel),
-        "heap_events_per_sec": round(heap),
-        "vs_heap": round(wheel / heap, 2),
-        "wall_time_s": round(wall, 4),
-        "code_fingerprint": code_fingerprint(),
-    }
-
-
-def _placement_imbalance(snapshots: list[dict], shard_ids: list[list[int]]) -> float:
-    """Critical-path ratio of a placement: max shard load over mean.
-
-    Computed from the (placement-independent) per-machine fired-event
-    counts, so the metric is deterministic even when the placement came
-    from wall-clock stealing.  1.0 is perfect balance; with barrier
-    stepping the fleet's wall time tracks the slowest shard, so aggregate
-    throughput scales with roughly the inverse of this ratio.
-    """
-    events = {s["machine"]: int(s.get("events_fired", 0)) for s in snapshots}
-    loads = [sum(events[mid] for mid in ids) for ids in shard_ids]
-    mean = sum(loads) / len(loads)
-    return max(loads) / mean if mean > 0 else 1.0
-
-
-def shard_imbalanced_report(
-    machines: int = 16,
-    shards: int | None = None,
-    rounds: int = 10,
-    seed: int = 0,
-    repeats: int = 2,
-) -> dict:
-    """Work-stealing gain on a skewed fleet as ``BENCH_shard_imbalanced.json``.
-
-    Runs the :func:`~repro.simos.shard.skewed_machine` fleet three ways —
-    inline (``shards=1``), sharded without rebalancing, and sharded with
-    work-stealing — and asserts all three digests match, proving the
-    parity contract *with migrations in play*.  ``events_per_sec`` is the
-    rebalanced layout's measured aggregate rate (the CI-gated number);
-    ``balance_gain`` is the deterministic headline: the critical-path
-    imbalance of the static placement over the stolen-to placement, i.e.
-    how much shorter the slowest shard's queue got.  Wall-clock speedup
-    follows the balance gain only on a multi-core box, so the gate rides
-    on the deterministic metric's inputs, not the host's core count.
-    """
-    from repro.analysis.parallel import code_fingerprint, resolve_shards
-    from repro.simos.shard import ShardedFleet, skewed_machine
-
-    shards = resolve_shards(shards, machines=machines, default=4)
-    static_best = stolen_best = 0.0
-    migrations = 0
-    imbalance_static = imbalance_stolen = 1.0
-    digests = ("", "", "")
-    events_fired = 0
-    start = time.perf_counter()
-    for _ in range(max(1, repeats)):
-        inline = ShardedFleet(machines, skewed_machine, shards=1, seed=seed)
-        serial = inline.run(rounds)
-        with ShardedFleet(
-            machines, skewed_machine, shards=shards, seed=seed
-        ) as fleet:
-            t0 = time.perf_counter()
-            static = fleet.run(rounds)
-            static_best = max(
-                static_best, static.events_fired / (time.perf_counter() - t0)
-            )
-            imbalance_static = _placement_imbalance(
-                static.snapshots, fleet._shard_ids
-            )
-        with ShardedFleet(
-            machines,
-            skewed_machine,
-            shards=shards,
-            seed=seed,
-            rebalance=True,
-            balance_on="events",
-        ) as fleet:
-            t0 = time.perf_counter()
-            stolen = fleet.run(rounds)
-            stolen_best = max(
-                stolen_best, stolen.events_fired / (time.perf_counter() - t0)
-            )
-            imbalance_stolen = _placement_imbalance(
-                stolen.snapshots, fleet._shard_ids
-            )
-            migrations = stolen.migrations
-        digests = (serial.digest, static.digest, stolen.digest)
-        assert digests[0] == digests[1] == digests[2], (
-            f"shard digest parity broken: shards=1 {digests[0]} vs "
-            f"static {digests[1]} vs rebalanced {digests[2]}"
-        )
-        events_fired = stolen.events_fired
-    wall = time.perf_counter() - start
-    return {
-        "name": "shard_imbalanced",
-        "kind": "micro",
-        "machines": machines,
-        "shards": shards,
-        "rounds": rounds,
-        "seed": seed,
-        "repeats": repeats,
-        "events_per_sec": round(stolen_best),
-        "static_events_per_sec": round(static_best),
-        "migrations": migrations,
-        "imbalance_static": round(imbalance_static, 3),
-        "imbalance_rebalanced": round(imbalance_stolen, 3),
-        "balance_gain": round(imbalance_static / imbalance_stolen, 2),
-        "events_fired": events_fired,
-        "parity_ok": digests[0] == digests[1] == digests[2],
-        "digest": digests[0],
         "wall_time_s": round(wall, 4),
         "code_fingerprint": code_fingerprint(),
     }

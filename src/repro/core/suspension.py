@@ -46,9 +46,7 @@ def capped_backoff(initial: float, k: int, maximum: float) -> float:
     then the exact doubled value while representable and ``inf`` beyond.
 
     The overflow clamp itself is the shared
-    :func:`repro.simos.engine.clamp_horizon` helper — one policy for every
-    horizon that can outgrow float math, here and in the wheel core's
-    far-future band.
+    :func:`repro.simos.engine.clamp_horizon` helper.
     """
     if k < 0:
         raise ConfigError(f"doubling count must be non-negative, got {k}")

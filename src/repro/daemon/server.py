@@ -169,7 +169,6 @@ class RegulatorDaemon:
         fsync_journal: bool = True,
         restart_backoff: float = 0.25,
         restart_backoff_cap: float = 5.0,
-        engine_core: str | None = None,
     ) -> None:
         self.socket_path = socket_path
         self._config = config
@@ -196,10 +195,6 @@ class RegulatorDaemon:
         self.journal_interval = journal_interval
         self._restart_backoff = restart_backoff
         self._restart_backoff_cap = restart_backoff_cap
-        #: Which event core orders the daemon's periodic deadlines
-        #: (``None`` consults ``REPRO_ENGINE``, wheel by default) — the
-        #: deployable path runs the same core as the simulator.
-        self.engine_core = engine_core
 
         self._sessions: dict[str, _Session] = {}
         self._worker_procs: dict[str, asyncio.subprocess.Process] = {}
@@ -697,7 +692,7 @@ class RegulatorDaemon:
 
     async def _liveness_loop(self) -> None:
         """Evict workers that owe a testpoint and have gone silent."""
-        deadlines = DeadlineQueue(self.engine_core)
+        deadlines = DeadlineQueue()
 
         def sweep() -> None:
             self._liveness_sweep()
@@ -732,11 +727,10 @@ class RegulatorDaemon:
         """Journal changed calibration; snapshot + compact on the interval.
 
         Both cadences — the fast journal sweep and the slow snapshot —
-        are deadlines on one :class:`DeadlineQueue`, so the engine core
-        selected by ``REPRO_ENGINE`` orders them and the snapshot no
+        are deadlines on one :class:`DeadlineQueue`, so the snapshot no
         longer piggybacks on journal-sweep arithmetic.
         """
-        deadlines = DeadlineQueue(self.engine_core)
+        deadlines = DeadlineQueue()
 
         def journal_sweep() -> None:
             for session in list(self._sessions.values()):

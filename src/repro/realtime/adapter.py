@@ -63,7 +63,6 @@ class RealTimeRegulator:
         process_id: object = None,
         telemetry: "Telemetry | None" = None,
         save_interval: float = 300.0,
-        engine_core: str | None = None,
     ) -> None:
         if (app_id is None) != (store is None):
             raise ValueError("app_id and store must be provided together")
@@ -80,10 +79,7 @@ class RealTimeRegulator:
         self._app_id = app_id
         self._store = store
         self._save_interval = save_interval
-        #: Periodic-save deadlines ride the same event core the simulator
-        #: uses (``engine_core=None`` consults ``REPRO_ENGINE``), so the
-        #: deployable path exercises whichever core is selected.
-        self._deadlines = DeadlineQueue(engine_core)
+        self._deadlines = DeadlineQueue()
         if store is not None:
             self._deadlines.schedule(self._save_interval, self._periodic_save)
         self._closed = False

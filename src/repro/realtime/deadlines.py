@@ -1,18 +1,10 @@
-"""Wall-clock deadline scheduling on a simulation event core.
+"""Wall-clock deadline scheduling on the simulation event core.
 
 The realtime adapter and the regulator daemon both keep small sets of
 future deadlines — periodic calibration saves, journal sweeps, snapshot
-compactions.  Before this module each site hand-rolled the same
-``last_done + interval`` arithmetic against :func:`time.monotonic`,
-which meant the deployable paths never exercised the engine cores at
-all: ``REPRO_ENGINE`` flipped the simulator but left the daemon on ad
-hoc bookkeeping.
-
-:class:`DeadlineQueue` closes that gap.  It is a thin wall-clock facade
-over :func:`repro.simos.kernel.make_engine`, so the *same* core the
-simulator runs on (wheel by default, ``REPRO_ENGINE=heap`` to force the
-binary heap) orders the daemon's deadlines.  Wall time maps onto engine
-time through a fixed epoch taken at construction; firing is explicit —
+compactions.  :class:`DeadlineQueue` orders them on a
+:class:`~repro.simos.engine.Engine`.  Wall time maps onto engine time
+through a fixed epoch taken at construction; firing is explicit —
 callers :meth:`poll` with the current wall clock (typically right after
 an ``asyncio.sleep`` or condition wait sized by :meth:`next_wait`), and
 every deadline at or before that instant fires in exact
@@ -25,12 +17,9 @@ under its lock, a daemon loop on its event loop) drives its own queue.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
-from repro.simos.kernel import make_engine
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.simos.engine import EventHandle
+from repro.simos.engine import Engine, EventHandle
 
 __all__ = ["DeadlineQueue"]
 
@@ -38,28 +27,16 @@ __all__ = ["DeadlineQueue"]
 class DeadlineQueue:
     """Monotonic-clock deadlines ordered by a simulation event core.
 
-    ``engine_core`` follows :func:`make_engine` resolution: ``None``
-    consults ``REPRO_ENGINE`` and defaults to the wheel.  ``clock`` is
-    injectable for deterministic tests; production callers leave it on
-    :func:`time.monotonic`.
+    ``clock`` is injectable for deterministic tests; production callers
+    leave it on :func:`time.monotonic`.
     """
 
     __slots__ = ("_engine", "_clock", "_epoch")
 
-    def __init__(
-        self,
-        engine_core: str | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self._engine = make_engine(engine_core)
+    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
+        self._engine = Engine()
         self._clock = clock
         self._epoch = clock()
-
-    # -- introspection ---------------------------------------------------------
-    @property
-    def engine(self):
-        """The underlying event core (diagnostics; core-specific stats)."""
-        return self._engine
 
     @property
     def pending(self) -> int:
@@ -74,7 +51,7 @@ class DeadlineQueue:
 
     def schedule(
         self, delay: float, fn: Callable[..., None], *args: Any
-    ) -> "EventHandle":
+    ) -> EventHandle:
         """Run ``fn(*args)`` ``delay`` seconds from the current wall clock.
 
         Returns a cancellable handle.  Negative delays clamp to "due at
@@ -85,7 +62,7 @@ class DeadlineQueue:
 
     def schedule_at(
         self, wall_deadline: float, fn: Callable[..., None], *args: Any
-    ) -> "EventHandle":
+    ) -> EventHandle:
         """Run ``fn(*args)`` once the wall clock reaches ``wall_deadline``."""
         return self._engine.call_at(self._engine_time(wall_deadline), fn, *args)
 
@@ -95,7 +72,7 @@ class DeadlineQueue:
 
         Callbacks may reschedule themselves (periodic deadlines); a
         callback scheduling at-or-before ``now`` fires within the same
-        poll, exactly as the simulation cores handle same-tick posts.
+        poll, exactly as the simulation engine handles same-time posts.
         """
         wall = self._clock() if now is None else now
         engine = self._engine

@@ -27,14 +27,12 @@ from repro.simos.effects import (
 )
 from repro.simos.engine import Engine, EventHandle, SimulationError
 from repro.simos.filesystem import ChangeRecord, Extent, SimFile, Volume, populate_volume
-from repro.simos.kernel import Kernel, SimThread, ThreadState, make_engine
+from repro.simos.kernel import Kernel, SimThread, ThreadState
 from repro.simos.memory import MemoryManager, TouchMemory
 from repro.simos.network import NetSend, NetworkLink, NetworkStats
 from repro.simos.perfcounters import PerfCounter, PerfCounterRegistry
-from repro.simos.shard import ChainMachine, ShardedFleet, ShardResult
 from repro.simos.sim_manners import MannersTestpoint, SetThreadPriority, SimManners
 from repro.simos.trace import DutyTrace, TestpointRecord, TestpointTrace
-from repro.simos.wheel import EventCore, WheelEngine
 from repro.simos.workload import Burst, bursty_schedule, busy_fraction, is_busy
 
 __all__ = [
@@ -46,7 +44,6 @@ __all__ = [
     "ChangeRecord",
     "Condition",
     "CpuPriority",
-    "ChainMachine",
     "CpuStats",
     "Delay",
     "Disk",
@@ -57,7 +54,6 @@ __all__ = [
     "DutyTrace",
     "Effect",
     "Engine",
-    "EventCore",
     "EventHandle",
     "Extent",
     "Kernel",
@@ -69,8 +65,6 @@ __all__ = [
     "PerfCounter",
     "PerfCounterRegistry",
     "SetThreadPriority",
-    "ShardResult",
-    "ShardedFleet",
     "SignalCondition",
     "SimFile",
     "SimManners",
@@ -83,11 +77,9 @@ __all__ = [
     "UseCPU",
     "Volume",
     "WaitCondition",
-    "WheelEngine",
     "Yield",
     "bursty_schedule",
     "busy_fraction",
     "is_busy",
-    "make_engine",
     "populate_volume",
 ]

@@ -42,7 +42,6 @@ __all__ = [
     "Engine",
     "SimulationError",
     "clamp_horizon",
-    "TICK_INDEX_LIMIT",
 ]
 
 _INF = math.inf
@@ -52,13 +51,6 @@ _INF = math.inf
 #: enough that compaction cost amortizes to O(1) per cancellation.
 _COMPACT_MIN_STALE = 64
 
-#: The largest tick index the wheel core treats as addressable: past this,
-#: ``when * ticks_per_second`` is outside exact-integer float territory (and
-#: may be ``inf``), so entries belong in the far-future overflow band.  One
-#: shared constant so the wheel's overflow test and the backoff clamp agree
-#: on where "effectively forever" starts.
-TICK_INDEX_LIMIT = 2.0 ** 63
-
 
 class SimulationError(RuntimeError):
     """The simulation was driven into an invalid state."""
@@ -67,15 +59,11 @@ class SimulationError(RuntimeError):
 def clamp_horizon(when: float, maximum: float) -> float:
     """Overflow-safe ``min(when, maximum)`` for scheduling horizons.
 
-    Exponential backoff growth and far-future timers both produce times
-    whose intermediate float math overflows — ``initial * 2**k`` reaches
-    ``inf`` after enough doublings, and ``when * ticks_per_second`` leaves
-    the exactly-representable integer range past :data:`TICK_INDEX_LIMIT`.
-    Both the suspension backoff (:func:`repro.core.suspension.capped_backoff`)
-    and the wheel core's far-future band clamp through this one helper so
-    the overflow policy lives in one place: ``inf`` and anything at or past
-    ``maximum`` clamp to ``maximum``, while NaN is rejected loudly — a NaN
-    horizon would silently disable whatever deadline it guards.
+    Exponential backoff growth produces times whose intermediate float
+    math overflows — ``initial * 2**k`` reaches ``inf`` after enough
+    doublings.  ``inf`` and anything at or past ``maximum`` clamp to
+    ``maximum``, while NaN is rejected loudly — a NaN horizon would
+    silently disable whatever deadline it guards.
     """
     if when != when:
         raise SimulationError("horizon must not be NaN")
@@ -176,8 +164,8 @@ class Engine:
 
         Skips (and accounts) cancelled entries at the heap head, so the
         returned time is exactly what the next :meth:`step` will fire at.
-        Both event cores expose this; wall-clock adapters use it to sleep
-        until the next deadline instead of polling.
+        Wall-clock adapters use it to sleep until the next deadline instead
+        of polling.
         """
         heap = self._heap
         while heap:

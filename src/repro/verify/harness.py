@@ -17,7 +17,6 @@ from repro.core.config import DEFAULT_CONFIG
 from repro.core.controller import ThreadRegulator
 from repro.core.suspension import SuspensionTimer
 from repro.simos.engine import Engine
-from repro.simos.wheel import WheelEngine
 from repro.verify.invariants import (
     EngineInvariantMonitor,
     InvariantViolation,
@@ -31,7 +30,6 @@ from repro.verify.oracles import (
     engine_oracle,
     parallel_oracle,
     signtest_oracle,
-    wheel_oracle,
 )
 
 __all__ = [
@@ -46,7 +44,6 @@ __all__ = [
 ORACLES = {
     "signtest": signtest_oracle,
     "engine": engine_oracle,
-    "wheel": wheel_oracle,
     "parallel": parallel_oracle,
     "chain-rng": chain_rng_oracle,
 }
@@ -175,36 +172,10 @@ def _drive_regulator(seed: int) -> DriveResult:
     return result
 
 
-def _drive_wheel(seed: int) -> DriveResult:
-    """Boundary-biased wheel workload against a monitored WheelEngine.
-
-    The wheel-specific oracle script (horizon-boundary delays, same-tick
-    bursts, cancellations into every band) runs with the invariant
-    monitor attached, so the clock, pending/stale counters, and the slot
-    occupancy bitmaps are audited after every fired event and schedule.
-    """
-    from repro.verify.oracles import _EngineScriptDriver, _generate_wheel_script
-
-    rng = random.Random(0x8EE1 ^ (seed * 0x2545F4914F6CDD1D))
-    recorder = ViolationRecorder(mode="record")
-    result = DriveResult(drive="wheel", seed=seed)
-    engine = WheelEngine()
-    monitor = EngineInvariantMonitor(engine, recorder)
-    driver = _EngineScriptDriver(engine)
-    for op in _generate_wheel_script(rng, 150):
-        driver.apply(op)
-    engine.run()  # Drain the far-future bands too, still monitored.
-    monitor.detach()
-    result.checks = recorder.checks
-    result.violations = recorder.violations
-    return result
-
-
 #: Registry of invariant drives: name -> fn(seed) -> DriveResult.
 INVARIANT_DRIVES = {
     "suspension-timer": _drive_suspension_timer,
     "engine": _drive_engine,
-    "wheel": _drive_wheel,
     "regulator": _drive_regulator,
 }
 

@@ -249,17 +249,14 @@ class SuspensionInvariantMonitor:
 
 
 class EngineInvariantMonitor:
-    """Patches an engine's hot paths to audit clock and store accounting.
+    """Patches an engine's hot paths to audit clock and heap accounting.
 
-    Works on either event core.  After every fired event (and every
-    scheduling call) the monitor verifies: the simulation clock never
-    moved backwards; the O(1) ``pending`` counter equals a linear scan
-    for live stored entries; and the stale-entry counter equals the
-    number of cancelled entries actually sitting in the store (the
-    compaction bookkeeping).  Heap cores are scanned through ``_heap``;
-    wheel cores are walked through ``_entries()`` and additionally have
-    their per-slot occupancy bitmaps audited against the slot contents
-    (``_audit_slots``).  Detach restores the engine's original methods.
+    After every fired event (and every scheduling call) the monitor
+    verifies: the simulation clock never moved backwards; the O(1)
+    ``pending`` counter equals a linear scan for live heap entries; and the
+    stale-entry counter equals the number of cancelled entries actually
+    sitting in the heap (the compaction bookkeeping).  Detach restores the
+    engine's original methods.
     """
 
     #: Engine methods shadowed through the instance dict while monitoring.
@@ -296,12 +293,12 @@ class EngineInvariantMonitor:
         self._last_now = max(self._last_now, now)
         # Plain tuple entries are the non-cancellable hot path: always live.
         # Handle entries are live until cancelled (or consumed by firing).
-        heap = getattr(engine, "_heap", None)
-        entries = heap if heap is not None else list(engine._entries())
         live = sum(
-            1 for h in entries if h.__class__ is tuple or not h.cancelled
+            1
+            for h in engine._heap
+            if h.__class__ is tuple or not h.cancelled
         )
-        stale = len(entries) - live
+        stale = len(engine._heap) - live
         if engine.pending != live:
             rec.report(
                 "engine",
@@ -313,22 +310,11 @@ class EngineInvariantMonitor:
             rec.report(
                 "engine",
                 "stale_count",
-                f"{context}: stale counter {engine._stale}, store holds {stale}",
+                f"{context}: stale counter {engine._stale}, heap holds {stale}",
                 t=now,
             )
         else:
             rec.passed()
-        if heap is None:
-            problems = engine._audit_slots()
-            if problems:
-                rec.report(
-                    "engine",
-                    "slot_bitmap",
-                    f"{context}: {problems[0]} (+{len(problems) - 1} more)",
-                    t=now,
-                )
-            else:
-                rec.passed()
 
     def _step(self) -> bool:
         fired = self._orig_step()

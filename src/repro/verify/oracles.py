@@ -24,11 +24,9 @@ from repro.analysis.parallel import ParallelRunner
 from repro.core.queueing import simulate_judgment_chain
 from repro.core.signtest import SignTest, good_threshold, poor_threshold
 from repro.simos.engine import Engine
-from repro.simos.wheel import WheelEngine
 from repro.verify.reference import (
     ReferenceEngine,
     ReferenceSignTest,
-    ReferenceWheel,
     reference_good_threshold,
     reference_poor_threshold,
 )
@@ -38,7 +36,6 @@ __all__ = [
     "OracleResult",
     "signtest_oracle",
     "engine_oracle",
-    "wheel_oracle",
     "parallel_oracle",
     "chain_rng_oracle",
 ]
@@ -232,7 +229,7 @@ def _generate_engine_script(rng: random.Random, ops: int) -> list[tuple]:
 
 def engine_oracle(
     seed: int,
-    make_engine: Callable[[], object] = Engine,
+    new_engine: Callable[[], object] = Engine,
     ops: int = 120,
 ) -> OracleResult:
     """O(1)-counter, compacting engine vs the naive linear-scan engine.
@@ -245,7 +242,7 @@ def engine_oracle(
     rng = random.Random(0xE4617 ^ (seed * 0x9E3779B97F4A7C15))
     result = OracleResult(oracle="engine", seed=seed)
     script = _generate_engine_script(rng, ops)
-    fast = _EngineScriptDriver(make_engine())
+    fast = _EngineScriptDriver(new_engine())
     reference = _EngineScriptDriver(ReferenceEngine())
     for i, op in enumerate(script):
         result.cases += 1
@@ -257,119 +254,6 @@ def engine_oracle(
                 f"fast={fast.observables()} reference={reference.observables()}",
             )
             break  # Diverged; every later comparison is noise.
-    result.cases += 1
-    if fast.log != reference.log:
-        result._note(
-            "fired-event log",
-            f"fast fired {len(fast.log)} events, reference {len(reference.log)}; "
-            "first difference at index "
-            f"{next((j for j, (a, b) in enumerate(zip(fast.log, reference.log)) if a != b), min(len(fast.log), len(reference.log)))}",
-        )
-    return result
-
-
-#: Delays that land exactly on or astride the wheel's band boundaries at
-#: the default resolution (1/128 s ticks): one tick, the L0 horizon (256
-#: ticks = 2 s), the L1 horizon (65536 ticks = 512 s), and the L2 horizon
-#: (2^24 ticks = 131072 s), each bracketed one tick either side, plus
-#: off-grid values that do not divide the tick.  Placement bugs live at
-#: these edges — a uniform draw would almost never sample them.
-_WHEEL_BOUNDARY_DELAYS = (
-    0.0,
-    0.0078125,
-    1.9921875,
-    2.0,
-    2.0078125,
-    511.9921875,
-    512.0,
-    512.0078125,
-    131071.9921875,
-    131072.0,
-    0.9999,
-    7.3,
-)
-
-
-def _generate_wheel_script(rng: random.Random, ops: int) -> list[tuple]:
-    """Engine script biased toward wheel-specific hazards.
-
-    Same op vocabulary as :func:`_generate_engine_script`, but delays are
-    drawn half the time from :data:`_WHEEL_BOUNDARY_DELAYS` and same-tick
-    FIFO bursts (several schedules at one identical delay) appear
-    explicitly, so level placement, cascade-on-rollover, and same-slot
-    ordering are all exercised every run.
-    """
-
-    def delay() -> float:
-        if rng.random() < 0.5:
-            return rng.choice(_WHEEL_BOUNDARY_DELAYS)
-        return round(rng.uniform(0.0, 600.0), 3)  # spans L0 and crosses L1
-
-    script: list[tuple] = []
-    tag = 0
-    for _ in range(ops):
-        roll = rng.random()
-        if roll < 0.35:
-            tag += 100
-            kind = "schedule" if rng.random() < 0.6 else "post"
-            script.append(
-                (kind, delay(), rng.randint(0, 3), rng.choice((0.1, 2.0, 512.0)), tag)
-            )
-        elif roll < 0.45:
-            # Same-tick FIFO burst: identical delay, consecutive seqs.
-            d = delay()
-            for _ in range(rng.randint(2, 4)):
-                tag += 100
-                script.append(("post", d, 0, 1.0, tag))
-        elif roll < 0.65:
-            script.append(("cancel", rng.randint(0, 1 << 30)))
-        elif roll < 0.85:
-            script.append(("run_until", round(rng.uniform(0.0, 520.0), 3)))
-        elif roll < 0.95:
-            script.append(("run_budget", rng.randint(1, 5)))
-        else:
-            script.append(("step",))
-    return script
-
-
-def wheel_oracle(
-    seed: int,
-    make_engine: Callable[[], object] = WheelEngine,
-    ops: int = 120,
-) -> OracleResult:
-    """Timing-wheel engine vs the sorted-list reference wheel.
-
-    Same differential shape as :func:`engine_oracle`, with the script
-    biased toward the wheel's hazard surface: horizon-boundary delays,
-    same-tick FIFO bursts, cancellations into every band, and bounded
-    runs that leave the cursor mid-rotation.  After the script, both
-    sides drain completely so far-future (overflow-band) events and the
-    cascades that rehome them are compared too, not left pending.
-    """
-    rng = random.Random(0x4EE1 ^ (seed * 0x9E3779B97F4A7C15))
-    result = OracleResult(oracle="wheel", seed=seed)
-    script = _generate_wheel_script(rng, ops)
-    fast = _EngineScriptDriver(make_engine())
-    reference = _EngineScriptDriver(ReferenceWheel())
-    for i, op in enumerate(script):
-        result.cases += 1
-        fast.apply(op)
-        reference.apply(op)
-        if fast.observables() != reference.observables():
-            result._note(
-                f"op {i} {op[0]}",
-                f"fast={fast.observables()} reference={reference.observables()}",
-            )
-            break  # Diverged; every later comparison is noise.
-    else:
-        result.cases += 1
-        fast.engine.run()
-        reference.engine.run()
-        if fast.observables() != reference.observables():
-            result._note(
-                "final drain",
-                f"fast={fast.observables()} reference={reference.observables()}",
-            )
     result.cases += 1
     if fast.log != reference.log:
         result._note(

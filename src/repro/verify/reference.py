@@ -30,7 +30,6 @@ __all__ = [
     "ReferenceSignTest",
     "ReferenceHandle",
     "ReferenceEngine",
-    "ReferenceWheel",
 ]
 
 
@@ -236,113 +235,3 @@ class ReferenceEngine:
         for handle in self._events:
             handle.cancel()
         self._events.clear()
-
-
-class ReferenceWheel:
-    """Sorted-list twin of :class:`repro.simos.wheel.WheelEngine`.
-
-    The timing wheel's contract is exactly the heap engine's: fire in
-    ``(when, seq)`` order, FIFO among same-time events, regardless of
-    which wheel level, overflow band, or ready heap an entry landed in.
-    This twin keeps one flat list sorted by ``(when, seq)`` via
-    :func:`bisect.insort` — no levels, no cascades, no bitmaps — so any
-    divergence points at the wheel's placement or cascade logic, not at
-    a shared abstraction.  Distinct from :class:`ReferenceEngine` (the
-    unsorted linear-scan twin) so the two references cannot share a bug.
-    """
-
-    def __init__(self) -> None:
-        self._now = 0.0
-        self._sorted: list[tuple[float, int, ReferenceHandle]] = []
-        self._seq = 0
-        self._events_fired = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulation time, in seconds."""
-        return self._now
-
-    @property
-    def events_fired(self) -> int:
-        """Total events executed."""
-        return self._events_fired
-
-    @property
-    def pending(self) -> int:
-        """Scheduled events not yet fired or cancelled (full scan)."""
-        return sum(1 for _, _, h in self._sorted if not h.cancelled)
-
-    def call_at(self, when: float, fn: Callable[..., None], *args: Any) -> ReferenceHandle:
-        """Schedule ``fn(*args)`` at absolute time ``when``."""
-        import bisect
-
-        if not math.isfinite(when):
-            raise SimulationError(f"event time must be finite, got {when}")
-        if when < self._now:
-            raise SimulationError(
-                f"cannot schedule event at {when} before current time {self._now}"
-            )
-        handle = ReferenceHandle(when, self._seq, fn, args)
-        bisect.insort(self._sorted, (when, self._seq, handle))
-        self._seq += 1
-        return handle
-
-    def call_after(self, delay: float, fn: Callable[..., None], *args: Any) -> ReferenceHandle:
-        """Schedule ``fn(*args)`` after ``delay`` seconds."""
-        if delay < 0:
-            raise SimulationError(f"delay must be non-negative, got {delay}")
-        return self.call_at(self._now + delay, fn, *args)
-
-    def post_at(self, when: float, fn: Callable[..., None], *args: Any) -> None:
-        """Non-cancellable twin of :meth:`call_at` (no handle returned)."""
-        self.call_at(when, fn, *args)
-
-    def post_after(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
-        """Non-cancellable twin of :meth:`call_after` (no handle returned)."""
-        if delay < 0:
-            raise SimulationError(f"delay must be non-negative, got {delay}")
-        self.call_at(self._now + delay, fn, *args)
-
-    def step(self) -> bool:
-        """Fire the next event; return ``False`` if nothing is pending."""
-        while self._sorted:
-            when, _seq, handle = self._sorted.pop(0)
-            if handle.cancelled:
-                continue
-            self._now = when
-            fn, args = handle.fn, handle.args
-            handle.cancel()
-            self._events_fired += 1
-            assert fn is not None  # live handles always carry their callback
-            fn(*args)
-            return True
-        return False
-
-    def _peek_live(self) -> float | None:
-        for when, _seq, handle in self._sorted:
-            if not handle.cancelled:
-                return when
-        return None
-
-    def run(self, until: float | None = None, max_events: int | None = None) -> float:
-        """Run until drained, ``until`` passes, or ``max_events`` fire."""
-        fired = 0
-        while True:
-            head = self._peek_live()
-            if head is None:
-                break
-            if until is not None and head > until:
-                break
-            if max_events is not None and fired >= max_events:
-                return self._now
-            self.step()
-            fired += 1
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
-
-    def drain(self) -> None:
-        """Discard all pending events."""
-        for _, _, handle in self._sorted:
-            handle.cancel()
-        self._sorted.clear()

@@ -36,6 +36,7 @@ from repro.core.queueing import (
 )
 from repro.core.rate import MIN_MEASURABLE_DURATION, RateSample
 from repro.core.suspension import SuspensionTimer, capped_backoff
+from repro.simos.engine import SimulationError, clamp_horizon
 
 
 class TestRateZeroDurationContract:
@@ -309,3 +310,20 @@ class TestControllerStateRoundtrip:
             clone._suspension.consecutive_poor
             == regulator._suspension.consecutive_poor
         )
+
+
+class TestHorizonClamp:
+    """The shared overflow-safe clamp behind ``capped_backoff``."""
+
+    def test_clamp_horizon_contract(self):
+        assert clamp_horizon(1.5, 10.0) == 1.5
+        assert clamp_horizon(float("inf"), 256.0) == 256.0
+        assert clamp_horizon(2.0**70, 2.0**63) == 2.0**63
+        assert clamp_horizon(2.0**70, float("inf")) == 2.0**70
+        with pytest.raises(SimulationError):
+            clamp_horizon(float("nan"), 10.0)
+
+    def test_capped_backoff_shares_the_clamp(self):
+        assert capped_backoff(1.0, 5000, 256.0) == 256.0
+        assert capped_backoff(1.0, 70, float("inf")) == 2.0**70
+        assert capped_backoff(1e300, 100, float("inf")) == float("inf")

@@ -324,3 +324,25 @@ class TestPostAPI:
             engine.post_at(float(i), fired.append, i)
         engine.run(max_events=2)
         assert fired == [0, 1]
+
+
+class TestHorizons:
+    def test_post_at_inf_raises(self):
+        engine = Engine()
+        with pytest.raises(SimulationError):
+            engine.post_at(float("inf"), lambda: None)
+        with pytest.raises(SimulationError):
+            engine.post_after(float("inf"), lambda: None)
+
+    def test_post_at_2_pow_70_fires_in_order(self):
+        # A huge but finite event time is legal: it must schedule, order
+        # after every nearer event, and fire.
+        engine = Engine()
+        fired = []
+        engine.post_at(2.0**70, fired.append, "far")
+        engine.post_at(2.0**70 + 1e55, fired.append, "farther")
+        engine.post_at(1.0, fired.append, "near")
+        assert engine.pending == 3
+        engine.run()
+        assert fired == ["near", "far", "farther"]
+        assert engine.now == 2.0**70 + 1e55

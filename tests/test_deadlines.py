@@ -1,4 +1,4 @@
-"""DeadlineQueue: wall-clock deadlines on either simulation event core."""
+"""DeadlineQueue: wall-clock deadlines on the simulation event core."""
 
 import shutil
 import tempfile
@@ -8,8 +8,6 @@ import pytest
 
 from repro.daemon.soak import run_soak
 from repro.realtime.deadlines import DeadlineQueue
-from repro.simos.engine import Engine
-from repro.simos.wheel import WheelEngine
 
 
 class FakeClock:
@@ -28,7 +26,7 @@ class FakeClock:
 class TestDeadlineQueue:
     def test_fires_in_deadline_then_insertion_order(self):
         clock = FakeClock()
-        q = DeadlineQueue("heap", clock=clock)
+        q = DeadlineQueue(clock=clock)
         fired = []
         q.schedule(2.0, fired.append, "late")
         q.schedule(1.0, fired.append, "early")
@@ -44,7 +42,7 @@ class TestDeadlineQueue:
 
     def test_cancel_suppresses_firing(self):
         clock = FakeClock()
-        q = DeadlineQueue("wheel", clock=clock)
+        q = DeadlineQueue(clock=clock)
         fired = []
         handle = q.schedule(1.0, fired.append, "cancelled")
         q.schedule(1.0, fired.append, "kept")
@@ -55,7 +53,7 @@ class TestDeadlineQueue:
 
     def test_negative_delay_clamps_to_next_poll(self):
         clock = FakeClock()
-        q = DeadlineQueue("heap", clock=clock)
+        q = DeadlineQueue(clock=clock)
         fired = []
         q.schedule(-5.0, fired.append, "overdue")
         assert q.next_wait() == 0.0
@@ -64,7 +62,7 @@ class TestDeadlineQueue:
 
     def test_next_wait_sizes_the_sleep(self):
         clock = FakeClock()
-        q = DeadlineQueue("wheel", clock=clock)
+        q = DeadlineQueue(clock=clock)
         assert q.next_wait() is None
         q.schedule(3.0, lambda: None)
         assert q.next_wait() == pytest.approx(3.0)
@@ -75,7 +73,7 @@ class TestDeadlineQueue:
 
     def test_periodic_reschedule_fires_once_per_interval(self):
         clock = FakeClock()
-        q = DeadlineQueue("heap", clock=clock)
+        q = DeadlineQueue(clock=clock)
         ticks = []
 
         def tick():
@@ -88,19 +86,9 @@ class TestDeadlineQueue:
             q.poll()
         assert len(ticks) == 4
 
-    @pytest.mark.parametrize("core,cls", [("heap", Engine), ("wheel", WheelEngine)])
-    def test_explicit_core_selection(self, core, cls):
-        assert type(DeadlineQueue(core).engine) is cls
-
-    @pytest.mark.parametrize("core,cls", [("heap", Engine), ("wheel", WheelEngine)])
-    def test_env_core_selection(self, core, cls, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", core)
-        assert type(DeadlineQueue().engine) is cls
-
-    @pytest.mark.parametrize("core", ["heap", "wheel"])
-    def test_cores_fire_identically(self, core):
+    def test_mixed_delays_fire_sorted(self):
         clock = FakeClock()
-        q = DeadlineQueue(core, clock=clock)
+        q = DeadlineQueue(clock=clock)
         fired = []
         for i, delay in enumerate([0.5, 2.5, 1.5, 0.5, 60.0]):
             q.schedule(delay, fired.append, i)
@@ -109,12 +97,10 @@ class TestDeadlineQueue:
         assert fired == [0, 3, 2, 1, 4]
 
 
-class TestDaemonSoakOnEitherCore:
-    """The deployable daemon path runs on whichever core is selected."""
+class TestDaemonSoak:
+    """The deployable daemon path orders its deadlines on the queue."""
 
-    @pytest.mark.parametrize("core", ["heap", "wheel"])
-    def test_soak_runs_on_core(self, core, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", core)
+    def test_soak_runs(self):
         workdir = Path(tempfile.mkdtemp(prefix="reprocore-"))
         try:
             report = run_soak(

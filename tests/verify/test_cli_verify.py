@@ -12,7 +12,7 @@ from repro.cli import main
 def test_verify_list_names_everything(capsys):
     assert main(["verify", "list"]) == 0
     out = capsys.readouterr().out
-    for name in ("signtest", "engine", "wheel", "parallel", "chain-rng"):
+    for name in ("signtest", "engine", "parallel", "chain-rng"):
         assert name in out
     for name in ("suspension-timer", "regulator"):
         assert name in out
@@ -52,7 +52,6 @@ def test_verify_run_json_output(capsys):
     assert {entry["oracle"] for entry in payload["oracles"]} == {
         "signtest",
         "engine",
-        "wheel",
         "parallel",
         "chain-rng",
     }

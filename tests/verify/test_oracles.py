@@ -6,17 +6,14 @@ import pytest
 
 from repro.core.signtest import SignTest
 from repro.simos.engine import Engine
-from repro.simos.wheel import WheelEngine
 from repro.verify.oracles import (
     chain_rng_oracle,
     engine_oracle,
     parallel_oracle,
     signtest_oracle,
-    wheel_oracle,
 )
 from repro.verify.reference import (
     ReferenceEngine,
-    ReferenceWheel,
     reference_good_threshold,
     reference_poor_threshold,
 )
@@ -32,13 +29,6 @@ def test_signtest_oracle_clean(seed):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_engine_oracle_clean(seed):
     result = engine_oracle(seed)
-    assert result.ok, result.mismatches[:3]
-    assert result.cases > 50
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_wheel_oracle_clean(seed):
-    result = wheel_oracle(seed)
     assert result.ok, result.mismatches[:3]
     assert result.cases > 50
 
@@ -96,39 +86,8 @@ class _DriftingEngine(Engine):
 
 
 def test_engine_oracle_detects_sabotage():
-    result = engine_oracle(1, make_engine=_DriftingEngine)
+    result = engine_oracle(1, new_engine=_DriftingEngine)
     assert not result.ok
-
-
-class _MisplacingWheel(WheelEngine):
-    """Sabotage: beyond-L0-horizon posts land one tick late."""
-
-    def post_after(self, delay, fn, *args):
-        if delay > 2.0:
-            delay += 1.0 / 128.0
-        super().post_after(delay, fn, *args)
-
-
-class _LossyWheel(WheelEngine):
-    """Sabotage: silently drops every 13th cancellable schedule."""
-
-    def __init__(self):
-        super().__init__()
-        self._count = 0
-
-    def call_after(self, delay, fn, *args):
-        self._count += 1
-        if self._count % 13 == 0:
-            # Still hand back a handle, as the real engine would.
-            handle = super().call_after(delay, lambda: None)
-            handle.cancel()
-            return handle
-        return super().call_after(delay, fn, *args)
-
-
-@pytest.mark.parametrize("broken", [_MisplacingWheel, _LossyWheel])
-def test_wheel_oracle_detects_sabotage(broken):
-    assert any(not wheel_oracle(seed, make_engine=broken).ok for seed in (1, 2, 3))
 
 
 def test_parallel_oracle_is_deterministic_across_runs():
@@ -140,7 +99,7 @@ def test_parallel_oracle_is_deterministic_across_runs():
 
 def test_reference_engine_matches_contract_directly():
     fast, ref = Engine(), ReferenceEngine()
-    for engine in (fast, ref, WheelEngine(), ReferenceWheel()):
+    for engine in (fast, ref):
         fired = []
         engine.call_after(1.0, fired.append, "a")
         handle = engine.call_after(2.0, fired.append, "b")
