@@ -24,9 +24,10 @@ disk model.
 
 from __future__ import annotations
 
-import bisect
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Iterator
 
 from repro.simos.engine import SimulationError
@@ -92,7 +93,11 @@ class ChangeRecord:
 class Volume:
     """A filesystem volume over a block range of one disk."""
 
-    __slots__ = ("name", "disk", "start_block", "total_blocks", "block_size", "_files", "_by_path", "_free", "_journal", "_next_file_id", "_next_usn")
+    __slots__ = (
+        "name", "disk", "start_block", "total_blocks", "block_size", "_files",
+        "_by_path", "_starts", "_counts", "_sizes", "_free_total", "_journal",
+        "_next_file_id", "_next_usn",
+    )
 
     def __init__(
         self,
@@ -110,7 +115,12 @@ class Volume:
         self.block_size = block_size
         self.total_blocks = total_blocks
         self.start_block = start_block
-        self._free: list[Extent] = [Extent(0, total_blocks)]
+        # The free list, indexed: address-ordered runs as parallel
+        # start/count lists, a sorted multiset of run lengths, and a total.
+        self._starts: list[int] = [0]
+        self._counts: list[int] = [total_blocks]
+        self._sizes: list[int] = [total_blocks]
+        self._free_total = total_blocks
         self._files: dict[int, SimFile] = {}
         self._by_path: dict[str, int] = {}
         self._next_file_id = 1
@@ -121,7 +131,7 @@ class Volume:
     @property
     def free_blocks(self) -> int:
         """Unallocated blocks."""
-        return sum(e.count for e in self._free)
+        return self._free_total
 
     @property
     def used_blocks(self) -> int:
@@ -197,8 +207,12 @@ class Volume:
         piece_sizes = self._split_sizes(blocks, fragments)
         rng = random.Random(spread_seed) if spread_seed is not None else None
         out: list[Extent] = []
-        for size in piece_sizes:
-            out.append(self._allocate_piece(size, rng))
+        try:
+            for size in piece_sizes:
+                out.append(self._allocate_piece(size, rng))
+        except SimulationError:
+            self.free(out)  # All or nothing: return the pieces already taken.
+            raise
         return out
 
     def _split_sizes(self, blocks: int, fragments: int) -> list[int]:
@@ -209,24 +223,31 @@ class Volume:
         return [s for s in sizes if s > 0]
 
     def _allocate_piece(self, size: int, rng: random.Random | None) -> Extent:
+        sizes = self._sizes
+        if not sizes or sizes[-1] < size:
+            raise SimulationError(
+                f"volume {self.name}: no contiguous run of {size} blocks "
+                f"(largest free: {self.largest_free_extent()}); "
+                "allocate with more fragments"
+            )
         # First-fit for determinism; a seeded rng picks a random fit instead,
-        # which is how fragmented (aged) layouts are manufactured.
-        candidates = [i for i, e in enumerate(self._free) if e.count >= size]
-        if candidates:
-            index = rng.choice(candidates) if rng is not None else candidates[0]
-            chunk = self._free[index]
-            taken = Extent(chunk.start, size)
-            rest = Extent(chunk.start + size, chunk.count - size)
-            if rest.count > 0:
-                self._free[index] = rest
-            else:
-                del self._free[index]
-            return taken
-        largest = self.largest_free_extent()
-        raise SimulationError(
-            f"volume {self.name}: no contiguous run of {size} blocks "
-            f"(largest free: {largest}); allocate with more fragments"
-        )
+        # which is how fragmented (aged) layouts are manufactured.  The fit
+        # scan runs in C; the seeded path must choose among all fitting runs
+        # in address order, or every aged layout changes.
+        starts, counts = self._starts, self._counts
+        fits = compress(count(), map(size.__le__, counts))
+        index = rng.choice(list(fits)) if rng is not None else next(fits)
+        start, run = starts[index], counts[index]
+        del sizes[bisect_left(sizes, run)]
+        if run > size:
+            starts[index] = start + size
+            counts[index] = run - size
+            insort(sizes, run - size)
+        else:
+            del starts[index]
+            del counts[index]
+        self._free_total -= size
+        return Extent(start, size)
 
     def free(self, extents: list[Extent]) -> None:
         """Return extents to the free pool (coalescing neighbours)."""
@@ -234,23 +255,36 @@ class Volume:
             self._free_extent(extent)
 
     def _free_extent(self, extent: Extent) -> None:
-        starts = [e.start for e in self._free]
-        i = bisect.bisect_left(starts, extent.start)
-        # Coalesce with the right neighbour, then the left one.
-        if i < len(self._free) and extent.end == self._free[i].start:
-            extent = Extent(extent.start, extent.count + self._free[i].count)
-            del self._free[i]
-        if i > 0 and self._free[i - 1].end == extent.start:
-            extent = Extent(
-                self._free[i - 1].start, self._free[i - 1].count + extent.count
-            )
-            del self._free[i - 1]
+        starts, counts, sizes = self._starts, self._counts, self._sizes
+        start, run = extent.start, extent.count
+        i = bisect_left(starts, start)
+        # Coalesce with the right neighbour, the left one, or both, in place.
+        right = i < len(starts) and starts[i] == start + run
+        if i > 0 and starts[i - 1] + counts[i - 1] == start:
             i -= 1
-        self._free.insert(i, extent)
+            start = starts[i]
+            run += counts[i]
+            del sizes[bisect_left(sizes, counts[i])]
+            if right:
+                run += counts[i + 1]
+                del sizes[bisect_left(sizes, counts[i + 1])]
+                del starts[i + 1]
+                del counts[i + 1]
+            counts[i] = run
+        elif right:
+            run += counts[i]
+            del sizes[bisect_left(sizes, counts[i])]
+            starts[i] = start
+            counts[i] = run
+        else:
+            starts.insert(i, start)
+            counts.insert(i, run)
+        insort(sizes, run)
+        self._free_total += extent.count
 
     def largest_free_extent(self) -> int:
         """Size in blocks of the largest contiguous free run."""
-        return max((e.count for e in self._free), default=0)
+        return self._sizes[-1] if self._sizes else 0
 
     # -- file operations -----------------------------------------------------------------
     def create_file(

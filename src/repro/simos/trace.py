@@ -42,7 +42,9 @@ class DutyTrace:
     def __init__(self, kernel: Kernel, blocked_labels: tuple[str, ...] = ("manners",)) -> None:
         self._kernel = kernel
         self._blocked_labels = blocked_labels
-        self._traced: dict[SimThread, list[tuple[float, int]]] = {}
+        # Per thread: transition times, the 0/1 flag from each one on, and
+        # the executing seconds accumulated before each one.
+        self._traced: dict[SimThread, tuple[list[float], list[int], list[float]]] = {}
         self._closed = False
         kernel.add_listener(self._on_event)
 
@@ -61,7 +63,7 @@ class DutyTrace:
     def watch(self, thread: SimThread) -> None:
         """Start tracing a thread (records its current state immediately)."""
         if thread not in self._traced:
-            self._traced[thread] = [(self._kernel.now, self._flag(thread))]
+            self._traced[thread] = ([self._kernel.now], [self._flag(thread)], [0.0])
 
     def _flag(self, thread: SimThread) -> int:
         if not thread.alive:
@@ -73,34 +75,45 @@ class DutyTrace:
         return 1
 
     def _on_event(self, kind: str, thread: SimThread, now: float) -> None:
-        series = self._traced.get(thread)
-        if series is None:
+        traced = self._traced.get(thread)
+        if traced is None:
             return
+        times, flags, executed = traced
         flag = self._flag(thread)
-        if flag != series[-1][1]:
-            series.append((now, flag))
+        if flag != flags[-1]:
+            executed.append(executed[-1] + (now - times[-1]) if flags[-1] else executed[-1])
+            times.append(now)
+            flags.append(flag)
 
     # -- queries ---------------------------------------------------------------
     def series(self, thread: SimThread) -> list[tuple[float, int]]:
         """The (time, 0/1) transition list, oldest first."""
         if thread not in self._traced:
             raise KeyError(f"thread {thread!r} is not traced")
-        return list(self._traced[thread])
+        times, flags, _ = self._traced[thread]
+        return list(zip(times, flags))
 
     def executing_time(self, thread: SimThread, start: float, end: float) -> float:
         """Seconds the thread spent executing within [start, end]."""
         if end < start:
             raise ValueError(f"end {end} before start {start}")
-        series = self._traced.get(thread)
-        if not series:
+        traced = self._traced.get(thread)
+        if traced is None:
             return 0.0
-        total = 0.0
-        for i, (t, flag) in enumerate(series):
-            seg_end = series[i + 1][0] if i + 1 < len(series) else max(end, t)
-            lo = max(t, start)
-            hi = min(seg_end, end)
-            if hi > lo and flag:
-                total += hi - lo
+        times, flags, executed = traced
+        # Segment k runs from times[k] to times[k + 1]; the last one runs on.
+        last = bisect.bisect_right(times, end) - 1
+        if last < 0:
+            return 0.0
+        first = bisect.bisect_right(times, start) - 1
+        if first < 0:
+            first, start = 0, times[0]
+        if first == last:
+            return end - start if flags[first] else 0.0
+        total = times[first + 1] - start if flags[first] else 0.0
+        total += executed[last] - executed[first + 1]
+        if flags[last]:
+            total += end - times[last]
         return total
 
     def duty_fraction(self, thread: SimThread, start: float, end: float) -> float:

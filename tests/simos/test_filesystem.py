@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simos.engine import SimulationError
-from repro.simos.filesystem import Volume, populate_volume
+from repro.simos.filesystem import Extent, Volume, populate_volume
 
 
 def make_volume(blocks=10_000) -> Volume:
@@ -66,6 +67,22 @@ class TestAllocation:
             vol.delete_file(f.file_id, when=1.0)
         with pytest.raises(SimulationError, match="contiguous"):
             vol.allocate(2, fragments=1)
+
+    def test_failed_allocation_returns_pieces_already_taken(self):
+        vol = make_volume(blocks=100)
+        x = vol.allocate(30)
+        vol.allocate(5)
+        z = vol.allocate(65)
+        vol.free(x)
+        vol.free([Extent(z[0].start, 5)])
+        assert vol.free_blocks == 35
+        # Pieces of 18 and 17: the 18 fits in the 30-block run, the 17 then
+        # fits nowhere, and the 18 must go back.
+        with pytest.raises(SimulationError, match="contiguous"):
+            vol.allocate(35, fragments=2)
+        assert vol.free_blocks == 35
+        assert vol.largest_free_extent() == 30
+        assert vol.allocate(30) == [Extent(0, 30)]
 
 
 class TestJournal:
@@ -281,3 +298,124 @@ class TestInvariants:
                 blocks = set(range(extent.start, extent.end))
                 assert not (blocks & claimed)
                 claimed |= blocks
+
+
+class ListAllocator:
+    """Reference twin: the plain list-of-``Extent`` free list, rescanned."""
+
+    def __init__(self, total_blocks: int) -> None:
+        self.runs = [Extent(0, total_blocks)]
+
+    def allocate(self, sizes: list[int], spread_seed: int | None) -> list[Extent]:
+        if sum(sizes) > sum(e.count for e in self.runs):
+            raise SimulationError("full")
+        rng = random.Random(spread_seed) if spread_seed is not None else None
+        saved, out = list(self.runs), []
+        for size in sizes:
+            candidates = [i for i, e in enumerate(self.runs) if e.count >= size]
+            if not candidates:
+                self.runs = saved
+                raise SimulationError("no contiguous run")
+            i = rng.choice(candidates) if rng is not None else candidates[0]
+            chunk = self.runs[i]
+            out.append(Extent(chunk.start, size))
+            if chunk.count > size:
+                self.runs[i] = Extent(chunk.start + size, chunk.count - size)
+            else:
+                del self.runs[i]
+        return out
+
+    def free(self, extents: list[Extent]) -> None:
+        for extent in extents:
+            i = bisect.bisect_left([e.start for e in self.runs], extent.start)
+            if i < len(self.runs) and extent.end == self.runs[i].start:
+                extent = Extent(extent.start, extent.count + self.runs.pop(i).count)
+            if i > 0 and self.runs[i - 1].end == extent.start:
+                i -= 1
+                left = self.runs.pop(i)
+                extent = Extent(left.start, left.count + extent.count)
+            self.runs.insert(i, extent)
+
+
+def _coalesce_kind(before: list[Extent], freed: Extent) -> str:
+    left = any(e.end == freed.start for e in before)
+    right = any(e.start == freed.end for e in before)
+    return {(False, False): "alone", (True, False): "left",
+            (False, True): "right", (True, True): "both"}[left, right]
+
+
+def drive_against_twin(seed: int, steps: int) -> set[str]:
+    """Run one seeded script on a Volume and its twin; return what it hit."""
+    vol = Volume("C", "C", total_blocks=600)
+    twin = ListAllocator(600)
+    rng = random.Random(seed)
+    live: list[int] = []
+    seen: set[str] = set()
+
+    def freed(extents: list[Extent]) -> None:
+        for extent in extents:
+            seen.add("free-" + _coalesce_kind(twin.runs, extent))
+            twin.free([extent])
+
+    for i in range(steps):
+        action = rng.random()
+        if action < 0.45 or not live:
+            blocks = rng.randint(1, 60)
+            fragments = rng.randint(1, 4)
+            spread = rng.randrange(1 << 20) if rng.random() < 0.6 else None
+            sizes = vol._split_sizes(blocks, max(1, min(fragments, blocks)))
+            try:
+                expected = twin.allocate(sizes, spread)
+            except SimulationError:
+                expected = None
+            try:
+                f = vol.create_file(
+                    f"f{i}", blocks * 4096, when=float(i),
+                    fragments=fragments, spread_seed=spread,
+                )
+            except SimulationError:
+                assert expected is None
+                seen.add("failed")
+            else:
+                assert f.extents == expected
+                live.append(f.file_id)
+                seen.add("first-fit" if spread is None else "spread")
+        elif action < 0.7:
+            f = vol.file(live.pop(rng.randrange(len(live))))
+            freed(f.extents)
+            vol.delete_file(f.file_id, when=float(i))
+            seen.add("delete")
+        else:
+            f = vol.file(rng.choice(live))
+            plan = vol.relocation_plan(f.file_id)
+            if plan is not None:
+                new_extents = plan[2]
+                assert new_extents == twin.allocate([f.blocks], None)
+                if action < 0.85:
+                    freed(f.extents)
+                    vol.commit_relocation(f.file_id, new_extents, when=float(i))
+                    seen.add("relocate")
+                else:
+                    freed(new_extents)
+                    vol.abort_relocation(new_extents)
+                    seen.add("abort")
+        runs = [(e.start, e.count) for e in twin.runs]
+        assert list(zip(vol._starts, vol._counts)) == runs
+        assert vol.free_blocks == sum(e.count for e in twin.runs)
+        assert vol.largest_free_extent() == max((e.count for e in twin.runs), default=0)
+        assert vol._sizes == sorted(vol._counts)
+    return seen
+
+
+class TestFreeListIndex:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 1 << 30))
+    def test_matches_list_allocator(self, seed):
+        drive_against_twin(seed, steps=150)
+
+    def test_script_covers_every_path(self):
+        seen = drive_against_twin(7, steps=400)
+        assert seen >= {
+            "first-fit", "spread", "failed", "delete", "relocate", "abort",
+            "free-alone", "free-left", "free-right", "free-both",
+        }

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.errors import RegulationStateError
@@ -96,6 +98,47 @@ class TestDutyTrace:
         kernel.run(until=4.0)
         bins = duty.binned(thread, 0.0, 4.0, 1.0)
         assert [round(f) for _, f in bins] == [1, 1, 0, 0]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_prefix_sums_match_linear_walk(self, seed):
+        rng = random.Random(seed)
+        kernel = Kernel()
+        duty = DutyTrace(kernel)
+
+        def body():
+            yield Delay(500.0)
+
+        thread = kernel.spawn("t", body())
+        kernel.run(until=3.0)
+        duty.watch(thread)
+        t = 3.0
+        for _ in range(200):
+            t += rng.expovariate(1.0)
+            kernel.engine.call_at(t, kernel.suspend_thread, thread)
+            t += rng.choice([0.0, rng.expovariate(2.0)])
+            kernel.engine.call_at(t, kernel.resume_thread, thread)
+        kernel.run()
+        series = duty.series(thread)
+        assert len(series) > 300
+
+        def linear(start, end):
+            total = 0.0
+            for i, (at, flag) in enumerate(series):
+                seg_end = series[i + 1][0] if i + 1 < len(series) else max(end, at)
+                lo, hi = max(at, start), min(seg_end, end)
+                if hi > lo and flag:
+                    total += hi - lo
+            return total
+
+        times = [at for at, _ in series]
+        probes = [(0.0, 1.0), (0.0, 600.0), (times[5], times[9]), (550.0, 560.0)]
+        for _ in range(300):
+            a = rng.choice([rng.uniform(0.0, 520.0), rng.choice(times)])
+            probes.append((a, a + rng.choice([0.0, rng.uniform(0.0, 30.0)])))
+        for start, end in probes:
+            expected = linear(start, end)
+            got = duty.executing_time(thread, start, end)
+            assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
     def test_untraced_thread_rejected(self):
         kernel = Kernel()
