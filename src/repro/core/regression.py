@@ -56,6 +56,7 @@ class RidgeCalibrator:
         "_sum_dp",
         "_sum_d",
         "_count",
+        "_solution",
         "_median",
         "_telemetry",
         "_set_index",
@@ -95,6 +96,10 @@ class RidgeCalibrator:
         self._sum_dp = np.zeros(arity, dtype=float)
         self._sum_d = 0.0
         self._count = 0
+        # The last solve of the normal equations; ``None`` once the
+        # statistics change.  A testpoint reads it twice, in
+        # target_duration and again in update before the sample is folded.
+        self._solution: np.ndarray | None = None
         # Median correction: least squares estimates the *mean* cost, the
         # sign-test comparator judges against the *median* sample; see
         # repro.core.calibration.MedianScale.
@@ -145,6 +150,7 @@ class RidgeCalibrator:
             raise MetricError("persisted regression state contains non-finite values")
         self._x = x
         self._y = y
+        self._solution = None
         sum_dp = np.asarray(state.get("sum_dp", [0.0] * self._arity), dtype=float)
         if sum_dp.shape != (self._arity,) or not np.isfinite(sum_dp).all():
             raise MetricError("persisted regression aggregates are malformed")
@@ -175,6 +181,7 @@ class RidgeCalibrator:
         self._sum_dp += dp
         self._sum_d = self._theta * self._sum_d + duration
         self._count += 1
+        self._solution = None
         tel = self._telemetry
         if tel is not None:
             if tel.emitting:
@@ -197,8 +204,14 @@ class RidgeCalibrator:
 
         Returns a vector of per-metric time costs (seconds per progress
         unit), clamped to be non-negative.  Before any sample has been seen,
-        returns zeros (no inferred cost).
+        returns zeros (no inferred cost).  The solution is cached until the
+        statistics change; each call returns a fresh copy.
         """
+        if self._solution is None:
+            self._solution = self._solve()
+        return self._solution.copy()
+
+    def _solve(self) -> np.ndarray:
         if self._count == 0:
             return np.zeros(self._arity, dtype=float)
         diag = np.abs(np.diagonal(self._x))

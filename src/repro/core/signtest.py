@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from statistics import NormalDist
@@ -52,6 +53,12 @@ from repro.core.errors import ConfigError
 _EXACT_LIMIT = 256
 
 _NORMAL = NormalDist()
+
+#: Relative distance from a decision bound within which the exact
+#: threshold tables defer to the floating-point threshold functions, so
+#: that a tail landing on (or within rounding of) the bound — possible for
+#: dyadic levels such as alpha = 0.5 — is decided exactly as they decide it.
+_TIE = 1e-9
 
 __all__ = ["Judgment", "SignTest", "poor_threshold", "good_threshold", "min_poor_samples"]
 
@@ -78,9 +85,9 @@ def poor_threshold(n: int, alpha: float) -> int:
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     z = _NORMAL.inv_cdf(1.0 - alpha)
-    guess = n / 2.0 + z * math.sqrt(n) / 2.0 + 0.5
     if n > _EXACT_LIMIT:
-        return min(max(math.ceil(guess), 0), n + 1)
+        return _normal_poor(n, z)
+    guess = n / 2.0 + z * math.sqrt(n) / 2.0 + 0.5
     if binomial_sf(n, n) > alpha:
         return n + 1
     # Adjust the normal-approximation guess against the exact tail.
@@ -105,9 +112,9 @@ def good_threshold(n: int, beta: float) -> int:
     if not 0.0 < beta < 1.0:
         raise ConfigError(f"beta must be in (0, 1), got {beta}")
     z = _NORMAL.inv_cdf(1.0 - beta)
-    guess = n / 2.0 - z * math.sqrt(n) / 2.0 - 0.5
     if n > _EXACT_LIMIT:
-        return min(max(math.floor(guess), -1), n)
+        return _normal_good(n, z)
+    guess = n / 2.0 - z * math.sqrt(n) / 2.0 - 0.5
     if binomial_cdf(n, 0) > beta:
         return -1
     r = min(max(int(guess), 0), n)
@@ -116,6 +123,16 @@ def good_threshold(n: int, beta: float) -> int:
     while r < n and binomial_cdf(n, r + 1) <= beta:
         r += 1
     return r
+
+
+def _normal_poor(n: int, z: float) -> int:
+    """Normal-approximation poor threshold for ``z = Phi^-1(1 - alpha)``."""
+    return min(max(math.ceil(n / 2.0 + z * math.sqrt(n) / 2.0 + 0.5), 0), n + 1)
+
+
+def _normal_good(n: int, z: float) -> int:
+    """Normal-approximation good threshold for ``z = Phi^-1(1 - beta)``."""
+    return min(max(math.floor(n / 2.0 - z * math.sqrt(n) / 2.0 - 0.5), -1), n)
 
 
 def min_poor_samples(alpha: float) -> int:
@@ -133,13 +150,51 @@ def _threshold_tables(
 
     ``poor[n]`` / ``good[n]`` equal :func:`poor_threshold` /
     :func:`good_threshold` exactly; the tables are shared across every
-    :class:`SignTest` with the same configuration, so the binomial tail
-    walks run once per (alpha, beta, max_samples) per process and the
-    per-sample hot path reduces to two tuple indexings.
+    :class:`SignTest` with the same configuration, so they are built once
+    per (alpha, beta, max_samples) per process and the per-sample hot path
+    reduces to two tuple indexings.
+
+    Up to ``_EXACT_LIMIT`` each row of Pascal's triangle gives the
+    Binomial(n, 1/2) tails as exact integer multiples of ``2**-n``, so a
+    threshold is one running sum compared with ``alpha * 2**n`` (an exact
+    float), instead of a search over log-space tail sums.
     """
-    poor = tuple(poor_threshold(n, alpha) for n in range(max_samples + 1))
-    good = tuple(good_threshold(n, beta) for n in range(max_samples + 1))
-    return poor, good
+    poor: list[int] = []
+    good: list[int] = []
+    row = [1]
+    for n in range(min(max_samples, _EXACT_LIMIT) + 1):
+        if n:
+            row = [1, *map(operator.add, row, row[1:]), 1]
+        # The row is symmetric, so its running sum from the left is both
+        # the lower tail (good) and, mirrored, the upper tail (poor).
+        scale = 2.0**n
+        taken = _within(row, alpha * scale)
+        poor.append(poor_threshold(n, alpha) if taken is None else n + 1 - taken)
+        taken = _within(row, beta * scale)
+        good.append(good_threshold(n, beta) if taken is None else taken - 1)
+    z_poor = _NORMAL.inv_cdf(1.0 - alpha)
+    z_good = _NORMAL.inv_cdf(1.0 - beta)
+    for n in range(len(poor), max_samples + 1):
+        poor.append(_normal_poor(n, z_poor))
+        good.append(_normal_good(n, z_good))
+    return tuple(poor), tuple(good)
+
+
+def _within(counts: list[int], bound: float) -> int | None:
+    """How many leading ``counts`` keep their running sum ``<= bound``.
+
+    ``None`` when a running sum comes within ``_TIE`` of the bound, where
+    the floating-point threshold functions' rounding decides instead.
+    """
+    total = taken = 0
+    for count in counts:
+        total += count
+        if abs(total - bound) <= _TIE * bound:
+            return None
+        if total > bound:
+            break
+        taken += 1
+    return taken
 
 
 @dataclass(slots=True)

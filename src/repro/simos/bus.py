@@ -34,12 +34,13 @@ class BusStats:
 class Bus:
     """A FCFS-shared transfer channel."""
 
-    __slots__ = ("_engine", "bandwidth", "name", "_busy", "_queue", "stats")
+    __slots__ = ("_engine", "_post_after", "bandwidth", "name", "_busy", "_queue", "stats")
 
     def __init__(self, engine: Engine, bandwidth: float, name: str = "scsi0") -> None:
         if bandwidth <= 0:
             raise SimulationError(f"bus bandwidth must be positive, got {bandwidth}")
         self._engine = engine
+        self._post_after = engine.post_after
         #: Bytes per second the bus can move.
         self.bandwidth = float(bandwidth)
         self.name = name
@@ -69,21 +70,27 @@ class Bus:
             raise SimulationError(
                 f"transfer duration must be non-negative, got {duration}"
             )
-        self._queue.append((duration, on_done, args))
-        self.stats.queued_peak = max(self.stats.queued_peak, len(self._queue))
-        self._pump()
+        queue = self._queue
+        queue.append((duration, on_done, args))
+        stats = self.stats
+        if len(queue) > stats.queued_peak:
+            stats.queued_peak = len(queue)
+        if not self._busy:
+            self._pump()
 
     # -- internals ------------------------------------------------------------
     def _pump(self) -> None:
-        if self._busy or not self._queue:
-            return
+        """Start the next transfer; the bus is idle, the queue not empty."""
         duration, on_done, args = self._queue.popleft()
         self._busy = True
-        self.stats.transfers += 1
-        self.stats.busy_time += duration
-        self._engine.post_after(duration, self._finish, on_done, args)
+        stats = self.stats
+        stats.transfers += 1
+        stats.busy_time += duration
+        self._post_after(duration, self._finish, on_done, args)
 
     def _finish(self, on_done: Callable[..., None], args: tuple) -> None:
         self._busy = False
         on_done(*args)
-        self._pump()
+        # ``on_done`` may already have started the next transfer.
+        if self._queue and not self._busy:
+            self._pump()

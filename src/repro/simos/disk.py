@@ -62,6 +62,26 @@ class DiskParams:
     #: Logical block size, in bytes.
     block_size: int = 4096
 
+    def __post_init__(self) -> None:
+        # A Disk derives its geometry from these once, at construction, so a
+        # bad value must fail here rather than be cached silently.  The
+        # negated comparisons also reject NaN.
+        for name in ("cylinders", "capacity", "block_size", "transfer_rate", "rotation_period"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise SimulationError(f"DiskParams.{name} must be positive, got {value!r}")
+        for name in ("seek_base", "seek_factor", "overhead"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise SimulationError(
+                    f"DiskParams.{name} must be non-negative, got {value!r}"
+                )
+        if self.capacity < self.block_size:
+            raise SimulationError(
+                f"DiskParams.capacity {self.capacity} is smaller than one "
+                f"{self.block_size}-byte block"
+            )
+
     @property
     def blocks(self) -> int:
         """Number of logical blocks on the disk."""
@@ -122,10 +142,17 @@ class DiskRequest:
 
 
 class Disk:
-    """A single disk drive with a FCFS request queue."""
+    """A single disk drive with a FCFS request queue.
+
+    Every request passes through three events: positioning (``_pump``),
+    the data transfer (on the bus when there is one), and completion
+    (``_finish``).  The geometry those steps need is derived from
+    :attr:`params` once, at construction.
+    """
 
     __slots__ = (
         "_engine",
+        "_post_after",
         "name",
         "params",
         "_bus",
@@ -137,6 +164,11 @@ class Disk:
         "_head_cylinder",
         "_last_end_block",
         "_service_started",
+        "_blocks",
+        "_blocks_per_cylinder",
+        "_last_cylinder",
+        "_block_size",
+        "_overhead",
         "stats",
     )
 
@@ -158,8 +190,14 @@ class Disk:
         scheduler: str = "fcfs",
     ) -> None:
         self._engine = engine
+        self._post_after = engine.post_after
         self.name = name
-        self.params = params or DiskParams()
+        self.params = params = params or DiskParams()
+        self._blocks = params.blocks
+        self._blocks_per_cylinder = params.blocks_per_cylinder
+        self._last_cylinder = params.cylinders - 1
+        self._block_size = params.block_size
+        self._overhead = params.overhead
         self._bus = bus
         # zlib.crc32 rather than hash(): str hashing is randomized per
         # process, which would make "deterministic" simulations differ
@@ -194,45 +232,60 @@ class Disk:
 
     def cylinder_of(self, block: int) -> int:
         """Map a logical block to its cylinder."""
-        return min(block // self.params.blocks_per_cylinder, self.params.cylinders - 1)
+        cylinder = block // self._blocks_per_cylinder
+        return cylinder if cylinder < self._last_cylinder else self._last_cylinder
 
     # -- requests -------------------------------------------------------------------
     def submit(
         self, kind: str, block: int, nbytes: int, on_done: Callable[[], None]
     ) -> None:
-        """Queue a request; ``on_done`` fires via the event queue at completion."""
+        """Queue a request; ``on_done`` fires via the event queue at completion.
+
+        The request covers ``ceil(nbytes / block_size)`` blocks from
+        ``block``, all of which must lie on the disk.
+        """
         if kind not in ("read", "write"):
             raise SimulationError(f"unknown disk request kind {kind!r}")
         if nbytes <= 0:
             raise SimulationError(f"request size must be positive, got {nbytes}")
-        if block < 0 or block >= self.params.blocks:
+        if block < 0 or block - (-nbytes // self._block_size) > self._blocks:
+            if 0 <= block < self._blocks:
+                raise SimulationError(
+                    f"{nbytes}-byte request at block {block} runs past the end "
+                    f"of {self.name} ({self._blocks} blocks)"
+                )
             raise SimulationError(
-                f"block {block} out of range for {self.name} "
-                f"({self.params.blocks} blocks)"
+                f"block {block} out of range for {self.name} ({self._blocks} blocks)"
             )
-        request = DiskRequest(kind, block, nbytes, on_done, self._engine.now)
-        self._queue.append(request)
-        self.stats.queued_peak = max(self.stats.queued_peak, len(self._queue))
-        self._pump()
+        now = self._engine.now
+        queue = self._queue
+        queue.append(DiskRequest(kind, block, nbytes, on_done, now))
+        stats = self.stats
+        if len(queue) > stats.queued_peak:
+            stats.queued_peak = len(queue)
+        if not self._busy:
+            self._pump(now)
 
     # -- internals ---------------------------------------------------------------------
-    def _pump(self) -> None:
-        if self._busy or not self._queue:
-            return
-        request = self._select()
+    def _pump(self, now: float) -> None:
+        """Start serving the next request; the disk is idle, the queue not empty."""
+        if self._scheduler == "fcfs":
+            request = self._queue.popleft()
+        else:
+            request = self._select()
         self._busy = True
-        self._service_started = self._engine.now
-        self.stats.requests += 1
-        self.stats.queue_wait_time += self._engine.now - request.enqueued_at
-        self.stats.max_queue_wait = max(
-            self.stats.max_queue_wait, self._engine.now - request.enqueued_at
-        )
-        mechanical = self._mechanical_time(request)
-        self._engine.post_after(mechanical, self._start_transfer, request)
+        self._service_started = now
+        stats = self.stats
+        stats.requests += 1
+        wait = now - request.enqueued_at
+        stats.queue_wait_time += wait
+        if wait > stats.max_queue_wait:
+            stats.max_queue_wait = wait
+        self._post_after(self._mechanical_time(request), self._start_transfer, request)
 
     def _select(self) -> DiskRequest:
-        """Pick the next request per the configured queue discipline."""
-        if self._scheduler == "fcfs" or len(self._queue) == 1:
+        """Pick the next request per a non-FCFS queue discipline."""
+        if len(self._queue) == 1:
             return self._queue.popleft()
         if self._scheduler == "smallest":
             request = min(self._queue, key=lambda r: r.nbytes)
@@ -259,41 +312,54 @@ class Disk:
 
     def _mechanical_time(self, request: DiskRequest) -> float:
         """Positioning time: overhead + seek + rotational latency."""
-        sequential = (
-            self._last_end_block is not None and request.block == self._last_end_block
-        )
-        if sequential:
+        block = request.block
+        if block == self._last_end_block:
             # Track-buffer / zero-latency continuation.
             self.stats.sequential_hits += 1
-            return self.params.overhead
-        target = self.cylinder_of(request.block)
+            return self._overhead
+        target = block // self._blocks_per_cylinder
+        if target > self._last_cylinder:
+            target = self._last_cylinder
         distance = abs(target - self._head_cylinder)
+        params = self.params
         seek = 0.0
         if distance > 0:
-            seek = self.params.seek_base + self.params.seek_factor * distance**0.5
-        rotation = self._rng.random() * self.params.rotation_period
+            seek = params.seek_base + params.seek_factor * distance**0.5
+        rotation = self._rng.random() * params.rotation_period
         self._head_cylinder = target
-        return self.params.overhead + seek + rotation
+        return self._overhead + seek + rotation
 
     def _start_transfer(self, request: DiskRequest) -> None:
-        if self._bus is not None:
-            rate = min(self.params.transfer_rate, self._bus.bandwidth)
-            self._bus.transfer(request.nbytes / rate, self._finish, request)
+        rate = self.params.transfer_rate
+        bus = self._bus
+        if bus is not None:
+            if bus.bandwidth < rate:
+                rate = bus.bandwidth
+            bus.transfer(request.nbytes / rate, self._finish, request)
         else:
-            duration = request.nbytes / self.params.transfer_rate
-            self._engine.post_after(duration, self._finish, request)
+            self._post_after(request.nbytes / rate, self._finish, request)
 
     def _finish(self, request: DiskRequest) -> None:
-        blocks_spanned = max(1, -(-request.nbytes // self.params.block_size))
-        self._last_end_block = request.block + blocks_spanned
-        self._head_cylinder = self.cylinder_of(
-            min(self._last_end_block, self.params.blocks - 1)
+        nbytes = request.nbytes
+        end = request.block - (-nbytes // self._block_size)
+        self._last_end_block = end
+        # ``submit`` keeps ``end <= blocks``; a request ending on the last
+        # block leaves the head over that block.
+        if end >= self._blocks:
+            end = self._blocks - 1
+        cylinder = end // self._blocks_per_cylinder
+        self._head_cylinder = (
+            cylinder if cylinder < self._last_cylinder else self._last_cylinder
         )
+        stats = self.stats
         if request.kind == "read":
-            self.stats.bytes_read += request.nbytes
+            stats.bytes_read += nbytes
         else:
-            self.stats.bytes_written += request.nbytes
-        self.stats.busy_time += self._engine.now - self._service_started
+            stats.bytes_written += nbytes
+        now = self._engine.now
+        stats.busy_time += now - self._service_started
         self._busy = False
         request.on_done()
-        self._pump()
+        # ``on_done`` may already have started the next request.
+        if self._queue and not self._busy:
+            self._pump(now)

@@ -15,7 +15,9 @@ device does not care) but their completions are parked until resume.
 
 Listeners can subscribe to thread lifecycle events (spawn, block, run,
 suspend, resume, exit) to build the execution-duty traces behind the
-paper's Figures 7 and 9.
+paper's Figures 7 and 9.  Code that needs only exits, such as the MS
+Manners bridge freeing a thread's slot, registers an exit hook instead,
+so that an untraced run dispatches no per-effect events at all.
 
 For the fault-injection harness (:mod:`repro.faults`) the kernel also
 exposes crash and I/O-failure hooks: :meth:`Kernel.kill_thread` terminates
@@ -27,6 +29,7 @@ with :class:`DiskFault` delivered into the issuing thread.
 from __future__ import annotations
 
 import enum
+import functools
 from typing import Any, Callable, Generator, Iterable
 
 from repro.simos.bus import Bus
@@ -71,6 +74,16 @@ class ThreadState(enum.Enum):
     BLOCKED = "blocked"  # waiting on an effect
     DONE = "done"
     FAILED = "failed"
+
+
+# Module-level aliases for the per-effect state checks and writes in
+# ``deliver``/``_advance``: an identity test against these is cheaper than
+# the ``alive`` property or a set lookup (``Enum.__hash__`` is a
+# Python-level call).
+_DONE = ThreadState.DONE
+_FAILED = ThreadState.FAILED
+_RUNNING = ThreadState.RUNNING
+_BLOCKED = ThreadState.BLOCKED
 
 
 class SimThread:
@@ -136,6 +149,7 @@ class SimThread:
 
 
 Listener = Callable[[str, SimThread, float], None]
+ExitHook = Callable[[SimThread], None]
 
 
 class Kernel:
@@ -149,6 +163,7 @@ class Kernel:
         "_seed",
         "_threads",
         "_listeners",
+        "_exit_hooks",
         "_disk_faults",
         "_handlers",
         "_post_after",
@@ -176,6 +191,7 @@ class Kernel:
         self._seed = seed
         self._threads: list[SimThread] = []
         self._listeners: list[Listener] = []
+        self._exit_hooks: list[ExitHook] = []
         #: Injected I/O failures still pending, per disk name.
         self._disk_faults: dict[str, int] = {}
         self._handlers: dict[type, Callable[[SimThread, Effect], None]] = {
@@ -235,6 +251,16 @@ class Kernel:
         except ValueError:
             pass
 
+    def add_exit_hook(self, hook: ExitHook) -> None:
+        """Call ``hook(thread)`` whenever a thread exits, however it ends.
+
+        The cheap alternative to a listener for code that only cares
+        about exits: the kernel dispatches the other lifecycle events only
+        while a general listener is attached.  Hooks run before the
+        ``exit`` listeners, at the kernel's current time.
+        """
+        self._exit_hooks.append(hook)
+
     # -- thread lifecycle ------------------------------------------------------------
     def spawn(
         self,
@@ -246,7 +272,7 @@ class Kernel:
     ) -> SimThread:
         """Create a thread and schedule its first step."""
         thread = SimThread(name, body, priority, process or name)
-        thread._on_done = lambda: self.deliver(thread, None)
+        thread._on_done = functools.partial(self.deliver, thread, None)
         self._threads.append(thread)
         if self._listeners:
             self._notify("spawn", thread)
@@ -329,8 +355,7 @@ class Kernel:
         thread.state = ThreadState.DONE
         thread.error = error
         thread.blocked_on = None
-        if self._listeners:
-            self._notify("exit", thread)
+        self._exited(thread)
 
     def inject_disk_fault(self, disk: str, count: int = 1) -> None:
         """Fail the next ``count`` I/O requests submitted to ``disk``.
@@ -352,7 +377,8 @@ class Kernel:
         to a suspended thread parks until resume; delivery to a dead thread
         is dropped.
         """
-        if not thread.alive:
+        state = thread.state
+        if state is _DONE or state is _FAILED:
             return
         if thread.suspended:
             thread._parked = (value, None)
@@ -384,10 +410,11 @@ class Kernel:
     def _advance(
         self, thread: SimThread, value: Any, exc: BaseException | None = None
     ) -> None:
-        if not thread.alive:
+        state = thread.state
+        if state is _DONE or state is _FAILED:
             return
         listeners = self._listeners
-        thread.state = ThreadState.RUNNING
+        thread.state = _RUNNING
         thread.blocked_on = None
         if listeners:
             self._notify("run", thread)
@@ -397,28 +424,31 @@ class Kernel:
             else:
                 effect = thread.body.send(value)
         except StopIteration as stop:
-            thread.state = ThreadState.DONE
+            thread.state = _DONE
             thread.result = stop.value
-            if listeners:
-                self._notify("exit", thread)
+            self._exited(thread)
             return
         except Exception as exc:  # Deliberate: capture app bugs, fail loudly in run().
-            thread.state = ThreadState.FAILED
+            thread.state = _FAILED
             thread.error = exc
-            if listeners:
-                self._notify("exit", thread)
+            self._exited(thread)
             return
         handler = self._handlers.get(type(effect))
         if handler is None:
-            thread.state = ThreadState.FAILED
+            thread.state = _FAILED
             thread.error = SimulationError(f"unknown effect {effect!r}")
-            if listeners:
-                self._notify("exit", thread)
+            self._exited(thread)
             return
-        thread.state = ThreadState.BLOCKED
+        thread.state = _BLOCKED
         handler(thread, effect)
         if listeners:
             self._notify("block", thread)
+
+    def _exited(self, thread: SimThread) -> None:
+        for hook in self._exit_hooks:
+            hook(thread)
+        if self._listeners:
+            self._notify("exit", thread)
 
     def _notify(self, kind: str, thread: SimThread) -> None:
         now = self.engine.now
@@ -444,12 +474,13 @@ class Kernel:
             raise SimulationError(f"no such disk {effect.disk!r}")
         kind = "read" if isinstance(effect, DiskRead) else "write"
         thread.blocked_on = f"disk:{effect.disk}"
-        pending_faults = self._disk_faults.get(effect.disk, 0)
-        if pending_faults > 0:
+        faults = self._disk_faults
+        if faults and effect.disk in faults:
+            pending_faults = faults[effect.disk]
             if pending_faults == 1:
-                del self._disk_faults[effect.disk]
+                del faults[effect.disk]
             else:
-                self._disk_faults[effect.disk] = pending_faults - 1
+                faults[effect.disk] = pending_faults - 1
             self._post_after(
                 0.0,
                 self.deliver_error,

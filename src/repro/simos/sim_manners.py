@@ -121,7 +121,7 @@ class SimManners:
         self._timer: EventHandle | None = None
         kernel.register_handler(MannersTestpoint, self._on_testpoint_effect)
         kernel.register_handler(SetThreadPriority, self._on_set_priority)
-        kernel.add_listener(self._on_thread_event)
+        kernel.add_exit_hook(self._on_thread_exit)
 
     # -- registration -------------------------------------------------------------
     @property
@@ -260,10 +260,8 @@ class SimManners:
         thread.blocked_on = "manners-light"
         self._kernel.engine.post_after(0.0, self._kernel.deliver, thread, None)
 
-    def _on_thread_event(self, kind: str, thread: SimThread, now: float) -> None:
+    def _on_thread_exit(self, thread: SimThread) -> None:
         """Release a regulated thread's slot when it exits."""
-        if kind != "exit":
-            return
         sup = self._registration.pop(thread, None)
         if sup is None:
             return
@@ -274,6 +272,7 @@ class SimManners:
             # A crashed thread (vs. a normal exit) had its slot reclaimed;
             # record the recovery so chaos traces show the fault absorbed.
             tel = self._telemetry
+            now = self._kernel.now
             tel.tick(now)
             tel.emit(
                 obs_events.RecoveryAction(

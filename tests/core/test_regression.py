@@ -142,6 +142,71 @@ class TestValidationAndState:
             cal.import_state({"x": [[float("nan")]], "y": [0.0]})
 
 
+class TestSolutionCache:
+    def _fresh_solve(self, cal: RidgeCalibrator) -> np.ndarray:
+        twin = RidgeCalibrator(cal.arity, theta=0.95)
+        twin.import_state(cal.export_state())
+        return twin.coefficients()
+
+    def test_one_solve_per_statistics_change(self, monkeypatch):
+        cal = RidgeCalibrator(2, theta=0.95)
+        _feed(cal, random.Random(4), [0.01, 0.002], samples=20)
+        solves = []
+        real_solve = np.linalg.solve
+        monkeypatch.setattr(
+            np.linalg, "solve", lambda a, b: solves.append(1) or real_solve(a, b)
+        )
+        # A testpoint: target_duration, then update, which reads the mean
+        # duration of the same (unchanged) statistics first.
+        cal.target_duration([3.0, 4.0])
+        cal.coefficients()
+        cal.update(0.05, [3.0, 4.0])
+        assert len(solves) == 1
+        cal.target_duration([1.0, 1.0])
+        assert len(solves) == 2
+
+    def test_update_invalidates(self):
+        cal = RidgeCalibrator(2, theta=0.95)
+        rng = random.Random(5)
+        _feed(cal, rng, [0.01, 0.002], samples=20)
+        before = cal.coefficients()
+        _feed(cal, rng, [0.03, 0.001], samples=5)
+        after = cal.coefficients()
+        assert not np.array_equal(before, after)
+        assert np.array_equal(after, self._fresh_solve(cal))
+
+    def test_import_state_invalidates(self):
+        source = RidgeCalibrator(2, theta=0.95)
+        _feed(source, random.Random(6), [0.02, 0.004], samples=30)
+        cal = RidgeCalibrator(2, theta=0.95)
+        _feed(cal, random.Random(7), [0.001, 0.05], samples=30)
+        cal.coefficients()
+        cal.import_state(source.export_state())
+        assert np.array_equal(cal.coefficients(), source.coefficients())
+
+    def test_failed_import_still_invalidates(self):
+        cal = RidgeCalibrator(2, theta=0.95)
+        _feed(cal, random.Random(8), [0.01, 0.002], samples=30)
+        cal.coefficients()
+        state = RidgeCalibrator(2, theta=0.95).export_state()
+        state["x"] = [[4.0, 1.0], [1.0, 2.0]]
+        state["y"] = [0.5, 0.25]
+        state["sum_dp"] = [float("nan"), 0.0]
+        with pytest.raises(MetricError):
+            cal.import_state(state)
+        # x and y were replaced before the aggregates were rejected.
+        assert np.array_equal(cal.coefficients(), self._fresh_solve(cal))
+
+    def test_returns_a_copy(self):
+        cal = RidgeCalibrator(2, theta=0.95)
+        _feed(cal, random.Random(9), [0.01, 0.002], samples=20)
+        first = cal.coefficients()
+        expected = first.copy()
+        first[:] = -1.0
+        assert np.array_equal(cal.coefficients(), expected)
+        assert cal.target_duration([1.0, 0.0]) > 0.0
+
+
 class TestProperties:
     @settings(max_examples=30, deadline=None)
     @given(

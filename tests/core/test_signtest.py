@@ -150,6 +150,35 @@ class TestThresholdTables:
             assert test._poor_table[n] == poor_threshold(n, 0.05)
             assert test._good_table[n] == good_threshold(n, 0.2)
 
+    @pytest.mark.parametrize(
+        "alpha, beta, max_samples",
+        [
+            (0.05, 0.2, 4096),  # the paper's configuration
+            (0.0511, 0.2011, 96),
+            (0.05, 0.2, 512),
+            (0.01, 0.3, 300),
+            (0.1, 0.05, 300),
+            # Dyadic levels put tails exactly on the bound (ties).
+            (0.5, 0.25, 300),
+            (0.125, 0.5, 300),
+        ],
+    )
+    def test_pascal_tables_equal_threshold_functions(self, alpha, beta, max_samples):
+        from repro.core.signtest import _threshold_tables
+
+        poor, good = _threshold_tables.__wrapped__(alpha, beta, max_samples)
+        assert poor == tuple(poor_threshold(n, alpha) for n in range(max_samples + 1))
+        assert good == tuple(good_threshold(n, beta) for n in range(max_samples + 1))
+
+    def test_exact_ties_defer_to_threshold_functions(self):
+        from repro.core.signtest import _within
+
+        # Row n=3 is 1 3 3 1: at alpha = 0.5 the bound is 4, which the
+        # running sum 1, 4 hits exactly.
+        assert _within([1, 3, 3, 1], 0.5 * 2**3) is None
+        assert _within([1, 3, 3, 1], 0.05 * 2**3) == 0
+        assert _within([1, 3, 3, 1], 0.2 * 2**3) == 1
+
     def test_evaluate_matches_functions_for_all_window_sizes(self):
         test = SignTest(alpha=0.05, beta=0.2, max_samples=64)
         for n in range(1, 70):  # crosses max_samples: table and fallback paths

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.simos.bus import Bus
-from repro.simos.disk import CDROM_PARAMS, Disk
+from repro.simos.disk import CDROM_PARAMS, Disk, DiskParams
 from repro.simos.engine import Engine, SimulationError
 
 
@@ -132,6 +132,37 @@ class TestValidation:
         with pytest.raises(SimulationError):
             disk.submit("read", disk.params.blocks, 4096, lambda: None)
 
+    def test_request_running_past_the_last_block_rejected(self):
+        disk = Disk(Engine())
+        last = disk.params.blocks - 1
+        with pytest.raises(SimulationError, match="runs past the end"):
+            disk.submit("read", last, disk.params.block_size + 1, lambda: None)
+        with pytest.raises(SimulationError, match="runs past the end"):
+            disk.submit("write", last - 3, 5 * disk.params.block_size, lambda: None)
+        assert disk.stats.queued_peak == 0
+
+    @pytest.mark.parametrize(
+        "params",
+        [CDROM_PARAMS, DiskParams(cylinders=10, capacity=5 * 4096)],
+        ids=["cdrom", "fewer-blocks-than-cylinders"],
+    )
+    def test_request_ending_on_the_last_block_accepted(self, params):
+        engine = Engine()
+        disk = Disk(engine, params=params)
+        t = _complete(disk, engine, "read", params.blocks - 2, 2 * params.block_size)
+        assert t > 0.0
+        # The head rests over the final block's cylinder.
+        assert disk._head_cylinder == disk.cylinder_of(params.blocks - 1)
+        assert disk.stats.bytes_read == 2 * params.block_size
+
+    def test_partial_block_rounds_up_to_whole_blocks(self):
+        engine = Engine()
+        disk = Disk(engine)
+        # 1 byte past 2 blocks spans 3; the next request continues after them.
+        _complete(disk, engine, "read", 1000, 2 * disk.params.block_size + 1)
+        _complete(disk, engine, "read", 1003, 4096)
+        assert disk.stats.sequential_hits == 1
+
     def test_zero_bytes_rejected(self):
         disk = Disk(Engine())
         with pytest.raises(SimulationError):
@@ -187,3 +218,38 @@ class TestBusCoupling:
         engine.run()
         assert bus.stats.transfers == 1
         assert bus.stats.busy_time > 0.0
+
+
+class TestDiskParamsValidation:
+    @pytest.mark.parametrize(
+        "field",
+        ["cylinders", "capacity", "block_size", "transfer_rate", "rotation_period"],
+    )
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_rejected(self, field, value):
+        with pytest.raises(SimulationError, match=field):
+            DiskParams(**{field: value})
+
+    @pytest.mark.parametrize("field", ["seek_base", "seek_factor", "overhead"])
+    def test_negative_rejected(self, field):
+        with pytest.raises(SimulationError, match=field):
+            DiskParams(**{field: -0.001})
+
+    @pytest.mark.parametrize("field", ["seek_base", "seek_factor", "overhead"])
+    def test_zero_timing_allowed(self, field):
+        assert getattr(DiskParams(**{field: 0.0}), field) == 0.0
+
+    @pytest.mark.parametrize("field", ["transfer_rate", "rotation_period", "overhead"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(SimulationError, match=field):
+            DiskParams(**{field: float("nan")})
+
+    def test_capacity_below_one_block_rejected(self):
+        with pytest.raises(SimulationError, match="capacity"):
+            DiskParams(capacity=4095, block_size=4096)
+
+    def test_defaults_and_cdrom_construct(self):
+        assert DiskParams().blocks == 4_300_000_000 // 4096
+        assert DiskParams(capacity=4096, block_size=4096).blocks == 1
+        assert CDROM_PARAMS.blocks == 650_000_000 // 2048
+        assert CDROM_PARAMS.blocks_per_cylinder == CDROM_PARAMS.blocks // 2000

@@ -283,6 +283,56 @@ class TestListeners:
         assert "block" in events
         assert events[-1] == "exit"
 
+    def test_exit_hooks_see_every_ending_before_listeners(self):
+        kernel = Kernel()
+        log = []
+        kernel.add_exit_hook(lambda thread: log.append(("hook", thread.name, kernel.now)))
+        kernel.add_listener(
+            lambda kind, thread, now: kind == "exit" and log.append(("exit", thread.name, now))
+        )
+
+        def finishes():
+            yield Delay(1.0)
+
+        def crashes():
+            yield Delay(2.0)
+            raise RuntimeError("boom")
+
+        def sleeps():
+            yield Delay(100.0)
+
+        kernel.spawn("ok", finishes())
+        kernel.spawn("crash", crashes())
+        victim = kernel.spawn("killed", sleeps())
+        kernel.engine.call_at(3.0, kernel.kill_thread, victim)
+        with pytest.raises(SimulationError):
+            kernel.run()
+        assert log == [
+            ("hook", "ok", 1.0), ("exit", "ok", 1.0),
+            ("hook", "crash", 2.0), ("exit", "crash", 2.0),
+            ("hook", "killed", 3.0), ("exit", "killed", 3.0),
+        ]
+
+    def test_exit_hook_alone_dispatches_no_listener_events(self, monkeypatch):
+        kernel = Kernel()
+        kernel.add_disk("C")
+        exits = []
+        kernel.add_exit_hook(exits.append)
+        notified = []
+        monkeypatch.setattr(
+            Kernel, "_notify", lambda self, kind, thread: notified.append(kind)
+        )
+
+        def body():
+            yield DiskRead("C", 0, 4096)
+            yield UseCPU(0.01)
+            yield Delay(1.0)
+
+        thread = kernel.spawn("t", body())
+        kernel.run()
+        assert exits == [thread]
+        assert notified == []
+
     def test_duplicate_disk_rejected(self):
         kernel = Kernel()
         kernel.add_disk("C")

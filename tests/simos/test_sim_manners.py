@@ -8,6 +8,7 @@ from repro.core.config import MannersConfig
 from repro.core.errors import RegulationStateError
 from repro.core.signtest import Judgment
 from repro.simos.effects import Delay, DiskRead
+from repro.simos.engine import SimulationError
 from repro.simos.kernel import Kernel
 from repro.simos.sim_manners import MannersTestpoint, SetThreadPriority, SimManners
 
@@ -321,3 +322,110 @@ class TestThreeProcessSharing:
         kernel.run(until=40.0)
         assert progress["short"] == 50  # finished
         assert progress["long"] > 1000  # inherited the whole machine
+
+
+class TestSlotReleaseOnExit:
+    """SimManners frees a regulated thread's slot through the kernel's exit
+    hook, so it works with no general thread-event listener attached."""
+
+    def _machine(self, sim_config, victim_body):
+        from repro.obs.sinks import MemorySink
+        from repro.obs.telemetry import Telemetry
+
+        kernel = Kernel()
+        kernel.add_disk("C")
+        sink = MemorySink()
+        manners = SimManners(kernel, sim_config, telemetry=Telemetry(sink=sink))
+        survivor_progress = []
+
+        def survivor():
+            done = 0.0
+            for i in range(100_000):
+                yield DiskRead("C", (i * 37) % 100_000, 65536)
+                done += 1
+                survivor_progress.append(kernel.now)
+                yield MannersTestpoint((done,))
+
+        victim = kernel.spawn("victim", victim_body(kernel), process="li")
+        other = kernel.spawn("survivor", survivor(), process="li")
+        manners.regulate(victim)
+        manners.regulate(other)
+        assert kernel._listeners == []
+        return kernel, manners, sink, victim, survivor_progress
+
+    def _assert_released(self, kernel, manners, victim, survivor_progress, ended):
+        sup = manners.supervisor("li")
+        assert victim not in sup.thread_ids()
+        assert sup.running is not victim
+        with pytest.raises(RegulationStateError):
+            manners.regulator(victim)
+        # The surviving thread keeps the machine after the victim is gone.
+        assert any(t > ended + 1.0 for t in survivor_progress)
+        assert kernel._listeners == []
+
+    @staticmethod
+    def _recoveries(sink):
+        return [e for e in sink.of_kind("recovery") if e.action == "slot_released"]
+
+    def test_normal_exit_releases_slot(self, sim_config):
+        ended = []
+
+        def victim(kernel):
+            for i in range(30):
+                yield DiskRead("C", (i * 91) % 100_000, 65536)
+                yield MannersTestpoint((float(i + 1),))
+            ended.append(kernel.now)
+
+        kernel, manners, sink, thread, progress = self._machine(sim_config, victim)
+        kernel.run(until=30.0)
+        assert ended
+        self._assert_released(kernel, manners, thread, progress, ended[0])
+        assert self._recoveries(sink) == []
+
+    def test_crash_releases_slot_and_records_recovery(self, sim_config):
+        crashed_at = []
+
+        def victim(kernel):
+            for i in range(30):
+                yield DiskRead("C", (i * 91) % 100_000, 65536)
+                yield MannersTestpoint((float(i + 1),))
+            crashed_at.append(kernel.now)
+            raise RuntimeError("victim bug")
+
+        kernel, manners, sink, thread, progress = self._machine(sim_config, victim)
+        with pytest.raises(SimulationError):
+            kernel.run(until=30.0)
+        self._assert_released(kernel, manners, thread, progress, crashed_at[0])
+        [recovery] = self._recoveries(sink)
+        assert recovery.t == crashed_at[0]
+        assert "RuntimeError" in recovery.detail
+
+    @pytest.mark.parametrize("error", [None, RuntimeError("killed")])
+    def test_kill_releases_slot(self, sim_config, error):
+        def victim(kernel):
+            for i in range(100_000):
+                yield DiskRead("C", (i * 91) % 100_000, 65536)
+                yield MannersTestpoint((float(i + 1),))
+
+        kernel, manners, sink, thread, progress = self._machine(sim_config, victim)
+        kernel.engine.call_at(7.25, kernel.kill_thread, thread, error)
+        kernel.run(until=30.0)
+        self._assert_released(kernel, manners, thread, progress, 7.25)
+        recoveries = self._recoveries(sink)
+        if error is None:
+            assert recoveries == []
+        else:
+            assert [r.t for r in recoveries] == [7.25]
+
+
+def test_untraced_manners_trial_dispatches_no_listener_events(monkeypatch):
+    from repro.apps.base import RegulationMode
+    from repro.experiments.scenarios import defrag_database_trial
+
+    notified = []
+    monkeypatch.setattr(
+        Kernel, "_notify", lambda self, kind, thread: notified.append(kind)
+    )
+    result = defrag_database_trial(RegulationMode.MS_MANNERS, seed=3, scale=0.05)
+    assert result.extras["testpoints"].records  # the regulator did run
+    assert notified == []

@@ -3,7 +3,8 @@
 Every refactor of the simulator must leave the seeded trial results of the
 committed ``BENCH_defrag_*`` reports unchanged.  These tests re-run both
 benchmarks serially, uncached, at the committed ``trials``/``scale`` and
-compare ``results_digest`` with the value on disk.
+compare ``results_digest`` with the value on disk.  ``groveler_setup`` has
+no committed report, so its digest is pinned here as a literal.
 """
 
 from __future__ import annotations
@@ -32,6 +33,19 @@ def test_committed_digest_reproduces(name):
     )
     assert fresh["results_digest"] == committed["results_digest"]
     assert fresh["events_total"] == committed["events_total"]
+
+
+#: ``groveler_setup`` at the default scale (0.05), four trials, recorded
+#: before the disk/bus/kernel completion path was flattened.  It is the
+#: pin that covers the CD-ROM and two devices contending on the shared bus.
+GROVELER_SETUP_DIGEST = "8cab35cab0ad952b"
+GROVELER_SETUP_EVENTS = 10343
+
+
+def test_groveler_setup_digest_reproduces():
+    fresh = run_benchmark("groveler_setup", jobs=1, trials=4, use_cache=False)
+    assert fresh["results_digest"] == GROVELER_SETUP_DIGEST
+    assert fresh["events_total"] == GROVELER_SETUP_EVENTS
 
 
 def test_kernel_runs_on_the_heap_engine():
