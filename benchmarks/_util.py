@@ -1,9 +1,10 @@
 """Helpers shared by the benchmark modules (env-driven sizing + fan-out).
 
-Every ``bench_*`` module sizes itself from the environment and drives its
-repeated trials through :func:`run_bench_trials` or :func:`run_spec`,
-which route them into the parallel trial engine
-(:mod:`repro.analysis.parallel`):
+Every ``bench_*`` module sizes itself from the environment.  Repeated
+trials go through :func:`run_spec`, which runs a registered
+:class:`~repro.experiments.spec.ExperimentSpec` on the parallel trial
+engine (:mod:`repro.analysis.parallel`); single-trial figures call their
+trial function directly:
 
 * ``REPRO_TRIALS`` — trials per configuration (paper uses 50);
 * ``REPRO_SCALE`` — workload scale (1.0 = paper-magnitude run times);
@@ -22,23 +23,12 @@ of being silently mis-read.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Callable
 
 from repro.analysis.env import env_flag, env_scale
 from repro.analysis.parallel import TrialCache, resolve_jobs
-from repro.analysis.runner import run_trials, trial_count
 
 #: Benchmark trial cache location, next to the persisted reports.
 CACHE_DIR = Path(__file__).parent / "results" / "cache"
-
-
-def bench_trials(default: int = 5) -> int:
-    """Trials per configuration (``REPRO_TRIALS``; the paper uses 50).
-
-    Validates ``REPRO_TRIALS >= 1`` with the same :class:`ValueError` as
-    :func:`repro.analysis.runner.trial_count`.
-    """
-    return trial_count(default)
 
 
 def bench_scale(default: float = 1.0) -> float:
@@ -46,7 +36,8 @@ def bench_scale(default: float = 1.0) -> float:
 
     Validated finite-and-positive: ``REPRO_SCALE=0`` used to silently
     collapse every workload to its minimum size; now it raises the same
-    style of :class:`ValueError` as :func:`bench_trials`.
+    style of :class:`ValueError` as
+    :func:`repro.analysis.runner.trial_count`.
     """
     return env_scale(default=default)
 
@@ -71,32 +62,6 @@ def bench_cache() -> TrialCache | None:
 def full_run() -> bool:
     """Whether to run the long-form experiments (``REPRO_FULL=1``)."""
     return env_flag("REPRO_FULL", default=False)
-
-
-def run_bench_trials(
-    trial: Callable[..., Any],
-    trials: int | None = None,
-    seed_base: int = 1000,
-    cache_name: str | None = None,
-    cache_config: Any = None,
-) -> list[Any]:
-    """Fan ``trial(seed)`` out for a benchmark: parallel + cached.
-
-    The shared execution path of every ``bench_*`` module: honours
-    ``REPRO_JOBS`` (parallel trials need a picklable ``trial``) and, when
-    ``cache_name`` is given, the trial cache (results must then be
-    JSON-safe).  Serial, cache-off runs are bit-identical to the historic
-    inline loops.
-    """
-    return run_trials(
-        trial,
-        trials=trials if trials is not None else bench_trials(),
-        seed_base=seed_base,
-        jobs=bench_jobs(),
-        cache=bench_cache() if cache_name is not None else None,
-        cache_name=cache_name,
-        cache_config=cache_config,
-    )
 
 
 def run_spec(name: str, trials: int | None = None) -> dict:

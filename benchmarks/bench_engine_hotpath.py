@@ -1,35 +1,22 @@
-"""Micro-benchmarks for the simulator and comparator hot paths.
+"""Micro-benchmark for the comparator hot path.
 
-Two optimizations carry every trial (docs/performance.md):
-
-* the event engine's allocation-free post path (plain-tuple heap entries,
-  no per-event objects), its O(1) pending counter, and cancelled-entry
-  compaction — exercised via :mod:`repro.analysis.hotpath` with a
-  handle-free post chain, a cancellable call chain, and a cancel-heavy
-  workload shaped like a long regulator suspension;
-* the sign test's precomputed threshold tables, which replace per-sample
-  binomial tail walks with two tuple indexings.
-
-Each benchmark reports throughput (events/sec, samples/sec) and *guards
-the optimization's correctness*: the pending counter must equal a full
-heap scan, and every table entry must equal the threshold functions for
-n <= max_samples — the tables must be invisible except for speed.
+The sign test's precomputed threshold tables replace per-sample binomial
+tail walks with two tuple indexings (docs/performance.md).  The benchmark
+reports throughput (samples/sec) and *guards the optimization's
+correctness*: every table entry must equal the threshold functions for
+n <= max_samples — the tables must be invisible except for speed.  The
+event core's own guards (pending counter, compaction) live in
+``tests/simos/test_engine.py``.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.analysis.hotpath import run_engine_hotpath
 from repro.core.signtest import SignTest, good_threshold, poor_threshold
 
 #: Deterministic pseudo-random sample stream (LCG; no allocation).
 _LCG_A, _LCG_C, _LCG_M = 1103515245, 12345, 2**31
-
-
-def run_engine_microbench() -> dict[str, float]:
-    """The shared event-core workloads (correctness guards included)."""
-    return run_engine_hotpath(events=30_000, rounds=2_000, burst=40)
 
 
 def run_signtest_microbench() -> dict[str, float]:
@@ -70,35 +57,22 @@ def run_signtest_microbench() -> dict[str, float]:
 
 
 def test_engine_hotpath(benchmark, report):
-    engine_stats, sign_stats = benchmark.pedantic(
-        lambda: (run_engine_microbench(), run_signtest_microbench()),
-        rounds=1,
-        iterations=1,
-    )
+    sign_stats = benchmark.pedantic(run_signtest_microbench, rounds=1, iterations=1)
     lines = [
-        "Simulator hot paths (single core)",
+        "Comparator hot path (single core)",
         "=" * 52,
-        f"event engine, post chain:      {engine_stats['post_events_per_sec']:>12,.0f} events/s"
-        "  (allocation-free steady-state path)",
-        f"event engine, call chain:      {engine_stats['call_events_per_sec']:>12,.0f} events/s"
-        "  (cancellable handles)",
-        f"event engine, cancel churn:    {engine_stats['churn_ops_per_sec']:>12,.0f} schedules/s"
-        f"  (heap held to {engine_stats['churn_heap_len']:.0f} entries by compaction)",
         f"sign test, threshold tables:   {sign_stats['table_samples_per_sec']:>12,.0f} samples/s",
         f"sign test, uncached tails:     {sign_stats['uncached_samples_per_sec']:>12,.0f} samples/s"
         "  (the pre-table first-visit cost per window size)",
         f"table-path speedup:            {sign_stats['speedup']:>12.1f}x",
         "",
-        "guards: pending counter == heap scan; table verdicts == threshold",
-        "functions for every n <= max_samples (incl. across the exact limit).",
+        "guard: table verdicts == threshold functions for every",
+        "n <= max_samples (incl. across the exact limit).",
     ]
     report("engine_hotpath", "\n".join(lines))
 
-    # Order-of-magnitude floors, far below any healthy interpreter, so the
-    # bench fails only on a real hot-path regression.  (The CI perf gate
-    # does the tight +/-20% comparison against the committed baseline.)
-    assert engine_stats["post_events_per_sec"] > 100_000
-    assert engine_stats["call_events_per_sec"] > 50_000
+    # Order-of-magnitude floor, far below any healthy interpreter, so the
+    # bench fails only on a real hot-path regression.
     assert sign_stats["table_samples_per_sec"] > 200_000
     # The tables must beat walking binomial tails by a wide margin.
     assert sign_stats["speedup"] > 3.0

@@ -15,12 +15,10 @@ probation, 6-hour diurnal cycle); set ``REPRO_FULL=1`` for the paper's full
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.analysis.tables import format_series
 from repro.experiments.scenarios import calibration_trial
 
-from _util import bench_scale, full_run, run_bench_trials
+from _util import bench_scale, full_run
 
 
 def run_figure10():
@@ -28,16 +26,12 @@ def run_figure10():
         hours, probation, diurnal, scale = 48.0, 24.0, 24.0, bench_scale()
     else:
         hours, probation, diurnal, scale = 12.0, 6.0, 6.0, min(bench_scale(), 0.5)
-    [result] = run_bench_trials(
-        partial(
-            calibration_trial,
-            hours=hours,
-            probation_hours=probation,
-            diurnal_hours=diurnal,
-            scale=scale,
-        ),
-        trials=1,
-        seed_base=13,
+    result = calibration_trial(
+        13,
+        hours=hours,
+        probation_hours=probation,
+        diurnal_hours=diurnal,
+        scale=scale,
     )
     return result, hours, probation
 

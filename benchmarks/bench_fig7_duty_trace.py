@@ -9,29 +9,19 @@ afterwards it runs freely again.
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.analysis.tables import format_series
 from repro.apps.base import RegulationMode
 from repro.experiments.scenarios import defrag_database_trial
 
-from _util import bench_scale, run_bench_trials
+from _util import bench_scale
 
 
 def run_figure7():
-    # One traced trial through the shared runner (trace objects are not
-    # JSON-safe, so this path is never cached).
-    [result] = run_bench_trials(
-        partial(
-            defrag_database_trial,
-            RegulationMode.MS_MANNERS,
-            scale=bench_scale(),
-            with_traces=True,
-        ),
-        trials=1,
-        seed_base=4242,
+    # One traced trial (trace objects are not JSON-safe, so it is never
+    # cached).
+    return defrag_database_trial(
+        RegulationMode.MS_MANNERS, 4242, scale=bench_scale(), with_traces=True
     )
-    return result
 
 
 def test_fig7_defragmenter_duty(benchmark, report):

@@ -9,27 +9,17 @@ below-target measurements when they are balanced by above-target ones.
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.analysis.tables import format_series
 from repro.apps.base import RegulationMode
 from repro.experiments.scenarios import defrag_database_trial
 
-from _util import bench_scale, run_bench_trials
+from _util import bench_scale
 
 
 def run_figure8():
-    [result] = run_bench_trials(
-        partial(
-            defrag_database_trial,
-            RegulationMode.MS_MANNERS,
-            scale=bench_scale(),
-            with_traces=True,
-        ),
-        trials=1,
-        seed_base=4242,
+    return defrag_database_trial(
+        RegulationMode.MS_MANNERS, 4242, scale=bench_scale(), with_traces=True
     )
-    return result
 
 
 def test_fig8_progress_rate(benchmark, report):

@@ -8,23 +8,15 @@ D-drive thread; a CPU load or loads on both drives suspend both threads.
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.experiments.scenarios import thread_isolation_trial
 
-from _util import full_run, run_bench_trials
+from _util import full_run
 
 
 def run_figure9():
     duration = 600.0 if full_run() else 300.0
-    [isolated] = run_bench_trials(
-        partial(thread_isolation_trial, duration=duration), trials=1, seed_base=11
-    )
-    [ablation] = run_bench_trials(
-        partial(thread_isolation_trial, duration=duration / 2, isolation=False),
-        trials=1,
-        seed_base=11,
-    )
+    isolated = thread_isolation_trial(11, duration=duration)
+    ablation = thread_isolation_trial(11, duration=duration / 2, isolation=False)
     return isolated, ablation
 
 

@@ -26,9 +26,8 @@ Runs two ways:
 * under pytest (``pytest benchmarks/bench_obs_overhead.py``), asserting
   the caps inline;
 * as a script (``python benchmarks/bench_obs_overhead.py --out DIR``),
-  writing ``BENCH_obs_overhead.json`` for the CI perf gate
-  (``benchmarks/compare_baseline.py`` enforces the same caps as hard
-  ceilings, independent of baseline drift).
+  writing ``BENCH_obs_overhead.json`` and exiting 1 when a cap is
+  breached (the CI overhead gate).
 """
 
 from __future__ import annotations
@@ -54,8 +53,8 @@ from _util import bench_scale
 SEED = 4242
 
 #: Hard ceilings on telemetry overhead, in fractional extra interpreter
-#: calls vs the disabled path.  Mirrored by ``repro.analysis.bench
-#: .OVERHEAD_CAPS`` so the CI perf gate enforces the same numbers.
+#: calls vs the disabled path: contract bounds, never relative to a
+#: committed baseline.
 NULL_OVERHEAD_CAP = 0.02
 TRACED_OVERHEAD_CAP = 0.05
 

@@ -18,21 +18,15 @@ unpredictable times — and regenerates each claim as a number:
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.experiments.related import STRATEGIES, related_strategy_trial
 
-from _util import bench_scale, run_bench_trials
+from _util import bench_scale
 
 
 def run_related():
     scale = bench_scale()
     return {
-        strategy: run_bench_trials(
-            partial(related_strategy_trial, strategy, scale=scale),
-            trials=1,
-            seed_base=42,
-        )[0]
+        strategy: related_strategy_trial(strategy, 42, scale=scale)
         for strategy in STRATEGIES
     }
 

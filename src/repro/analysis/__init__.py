@@ -9,7 +9,7 @@ from repro.analysis.parallel import (
     config_fingerprint,
     resolve_jobs,
 )
-from repro.analysis.runner import aggregate, run_trials, trial_count
+from repro.analysis.runner import aggregate, trial_count
 from repro.analysis.stats import BoxStats, box_stats, median, quartiles
 from repro.analysis.tables import format_box_table, format_ratio_line, format_series
 
@@ -28,7 +28,6 @@ __all__ = [
     "median",
     "quartiles",
     "resolve_jobs",
-    "run_trials",
     "sparkline",
     "timeseries_plot",
     "trial_count",

@@ -11,7 +11,7 @@ change with the same command line:
     repro profile defrag_idle --memory
 
 Profiling overhead inflates absolute times; the report is for *ranking*
-call sites, not for throughput numbers (use ``repro bench`` for those).
+call sites, not for throughput numbers (use ``repro exp run`` for those).
 """
 
 from __future__ import annotations

@@ -1,31 +1,21 @@
-"""Repeat-trial experiment harness.
+"""Repeat-trial helpers: the trial count and box-plot aggregation.
 
 The paper repeats each configuration of its contention experiments 50 times
-and reports box plots.  :func:`run_trials` drives any single-trial function
-over a seed sequence and aggregates the results; trial counts honour the
+and reports box plots.  Trials run through
+:class:`repro.analysis.parallel.ParallelRunner` (usually via an
+:class:`~repro.experiments.spec.ExperimentSpec`); trial counts honour the
 ``REPRO_TRIALS`` environment variable so the full paper-scale runs and
 quick smoke runs share one code path.
-
-Execution fans out over worker processes when ``jobs`` (or ``REPRO_JOBS``)
-exceeds 1 — see :mod:`repro.analysis.parallel`.  Seed assignment is
-deterministic and results come back in seed order, so serial and parallel
-runs of a deterministic trial return identical lists.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence, TypeVar
+from typing import Mapping, Sequence
 
 from repro.analysis.env import env_int
 from repro.analysis.stats import BoxStats, box_stats
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.parallel import ParallelRunner, TrialCache
-    from repro.obs.telemetry import Telemetry
-
-__all__ = ["trial_count", "run_trials", "aggregate"]
-
-T = TypeVar("T")
+__all__ = ["trial_count", "aggregate"]
 
 #: Default trials per configuration when REPRO_TRIALS is unset.  The paper
 #: uses 50; the default here keeps a full benchmark run in minutes while
@@ -41,51 +31,6 @@ def trial_count(default: int = DEFAULT_TRIALS) -> int:
     """
     count = env_int("REPRO_TRIALS", default=None)
     return default if count is None else count
-
-
-def run_trials(
-    trial: Callable[..., T],
-    trials: int | None = None,
-    seed_base: int = 1000,
-    *,
-    jobs: int | None = None,
-    telemetry: "Telemetry | None" = None,
-    cache: "TrialCache | None" = None,
-    cache_name: str | None = None,
-    cache_config: Any = None,
-    runner: "ParallelRunner | None" = None,
-) -> list[T]:
-    """Run ``trial(seed)`` for ``trials`` distinct seeds; return the results.
-
-    ``jobs`` resolves as explicit argument > ``REPRO_JOBS`` > 1 (serial).
-    Parallel runs require a picklable ``trial`` (a module-level function or
-    a :func:`functools.partial` over one) and return exactly what the
-    serial run would.  With ``telemetry``, the trial is called as
-    ``trial(seed, telemetry=...)`` and per-trial ``repro.obs`` counters are
-    merged into ``telemetry.metrics`` (in both serial and parallel modes,
-    so the two stay bit-identical).  With ``cache`` and ``cache_name``,
-    previously completed seeds are loaded from the trial cache instead of
-    re-run — see :class:`repro.analysis.parallel.TrialCache`.  Passing an
-    existing ``runner`` reuses its (persistent) worker pool and cache —
-    the sweep-loop path; ``jobs``/``cache`` are then ignored.
-    """
-    n = trials if trials is not None else trial_count()
-    from repro.analysis.parallel import ParallelRunner, resolve_jobs
-
-    if runner is None:
-        resolved = resolve_jobs(jobs, default=1)
-        if resolved == 1 and telemetry is None and cache is None:
-            # The historical fast path: plain loop, lambdas welcome.
-            return [trial(seed_base + i) for i in range(n)]
-        runner = ParallelRunner(jobs=resolved, cache=cache)
-    return runner.run(
-        trial,
-        trials=n,
-        seed_base=seed_base,
-        telemetry=telemetry,
-        cache_name=cache_name,
-        cache_config=cache_config,
-    )
 
 
 def aggregate(

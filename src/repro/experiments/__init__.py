@@ -23,7 +23,6 @@ from repro.experiments.scenarios import (
     defrag_idle_trial,
     groveler_setup_trial,
     measured_trial,
-    mode_sweep,
     thread_isolation_trial,
 )
 from repro.experiments.spec import (
@@ -62,7 +61,6 @@ __all__ = [
     "get_experiment",
     "groveler_setup_trial",
     "measured_trial",
-    "mode_sweep",
     "register",
     "register_scenario",
     "run_experiment",

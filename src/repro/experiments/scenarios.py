@@ -43,8 +43,6 @@ from repro.simos.trace import DutyTrace
 from repro.simos.workload import Burst, bursty_schedule, busy_fraction
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from typing import Sequence
-
     from repro.obs.telemetry import Telemetry
 
 __all__ = [
@@ -57,7 +55,6 @@ __all__ = [
     "thread_isolation_trial",
     "calibration_trial",
     "measured_trial",
-    "mode_sweep",
     "CalibrationResult",
     "IsolationResult",
 ]
@@ -353,48 +350,6 @@ def measured_trial(
     if "move_ops" in result.extras:
         measurements["move_ops"] = result.extras["move_ops"]
     return measurements
-
-
-def mode_sweep(
-    scenario: str,
-    modes: "Sequence[RegulationMode]",
-    metric: str,
-    trials: int | None = None,
-    seed_base: int = 1000,
-    scale: float = 1.0,
-    jobs: int | None = None,
-    cache=None,
-) -> dict[str, list[float]]:
-    """Per-mode samples of ``metric`` (``hi_time``/``li_time``/...) for a scenario.
-
-    The shape every contention figure needs: ``{mode value: [sample, ...]}``
-    ready for :func:`repro.analysis.runner.aggregate`.  Trials fan out over
-    the parallel runner (``jobs``/``REPRO_JOBS``) and, given a
-    :class:`~repro.analysis.parallel.TrialCache`, completed (scenario,
-    mode, seed, scale, code-version) trials are loaded rather than re-run.
-    """
-    from functools import partial
-
-    from repro.analysis.parallel import ParallelRunner, resolve_jobs
-    from repro.analysis.runner import run_trials
-
-    # One runner — and therefore at most one worker pool — for the whole
-    # sweep: each mode reuses the warm pool instead of paying pool spin-up
-    # per sweep point.  Seeds and result order are assigned per run_trials
-    # call exactly as before, so samples (and digests) are unchanged.
-    samples: dict[str, list[float]] = {}
-    with ParallelRunner(jobs=resolve_jobs(jobs, default=1), cache=cache) as runner:
-        for mode in modes:
-            results = run_trials(
-                partial(measured_trial, scenario, mode.value, scale=scale),
-                trials=trials,
-                seed_base=seed_base,
-                runner=runner,
-                cache_name=f"{scenario}:{mode.value}",
-                cache_config={"scenario": scenario, "mode": mode.value, "scale": scale},
-            )
-            samples[mode.value] = [r[metric] for r in results]
-    return samples
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,14 @@ wired its own sweep loops, seeds, caching, and report text.  This module
 replaces that with a declarative registry in the style of the mplc
 Experiment/Scenario framework: an :class:`ExperimentSpec` *names* a
 scenario, its crossed independent variables (workload x strategy x seed x
-scale), the metrics to collect, and the committed baseline to diff
-against; :func:`run_experiment` fans the full cross product out through
-the existing :class:`~repro.analysis.parallel.ParallelRunner` and
+scale) and the metrics to collect; :func:`run_experiment` fans the full
+cross product out through the existing
+:class:`~repro.analysis.parallel.ParallelRunner` and
 :class:`~repro.analysis.parallel.TrialCache` and returns one JSON-safe
 report.  A new scenario or strategy comparison is ~20 lines of spec, not
 a new benchmark file.
 
-Determinism contract (the same one ``run_trials`` honours):
+Determinism contract:
 
 * **Cell enumeration** is the itertools product of the variables in
   declaration order — stable across runs, machines, and worker counts.
@@ -27,11 +27,12 @@ Determinism contract (the same one ``run_trials`` honours):
   report's ``results_digest`` is bit-identical between serial and
   parallel runs (CI asserts this on the ``smoke`` spec).
 
-Reports carry per-cell samples, summary stats, and — when the spec names
-a ``baseline`` — regression deltas against the committed
-``benchmarks/results/BENCH_<baseline>.json`` via
-:func:`repro.analysis.bench.compare_reports`, in the spirit of
-MobileUPReg's user-perceived-regression reports.
+Reports carry per-cell samples and summary stats.  A spec's baseline is
+its own committed report, ``benchmarks/results/EXP_<name>.json``;
+:func:`baseline_deltas` diffs a fresh report against it through
+:func:`compare_reports`, in the spirit of MobileUPReg's
+user-perceived-regression reports, and only when both did like work
+(same cells, same scale).
 """
 
 from __future__ import annotations
@@ -73,12 +74,13 @@ __all__ = [
     "run_experiments",
     "samples_by_cell",
     "baseline_deltas",
+    "compare_reports",
     "write_experiment_report",
     "load_experiment_report",
     "spec_cell_trial",
 ]
 
-#: Default location of the committed ``BENCH_*.json`` baselines.
+#: Default location of the committed ``EXP_<name>.json`` baselines.
 DEFAULT_BASELINE_DIR = Path("benchmarks") / "results"
 
 
@@ -175,8 +177,6 @@ class ExperimentSpec:
     #: Seed derivation: ``"paired"`` (every cell sees the same seed
     #: sequence) or ``"derived"`` (per-cell digest-derived seed bases).
     seeds: str = "paired"
-    #: Name of the committed ``BENCH_<baseline>.json`` to diff against.
-    baseline: str | None = None
     #: One-line description for ``repro exp list``.
     summary: str = ""
 
@@ -380,7 +380,9 @@ def run_experiment(
     defaulting to serial).  With a cache, completed (cell, seed,
     code-version) trials are loaded instead of re-run; the report counts
     ``trials_executed`` vs ``trials_cached`` so a fully warm second run
-    is visibly zero-execution.
+    is visibly zero-execution.  A run that loaded any trial from the cache
+    timed lookups, not simulation, so its ``events_per_sec`` is ``None``
+    (never gated).
     """
     n = spec.resolve_trials(trials)
     resolved_scale = spec.resolve_scale(scale)
@@ -460,10 +462,11 @@ def run_experiment(
         "trials_executed": total_trials - cached,
         "wall_time_s": round(wall, 4),
         "events_total": events_total,
-        "events_per_sec": round(events_total / wall) if wall > 0 else None,
+        "events_per_sec": (
+            round(events_total / wall) if wall > 0 and not cached else None
+        ),
         "results_digest": _results_digest(cell_reports),
         "code_fingerprint": code_fingerprint(),
-        "baseline": spec.baseline,
     }
 
 
@@ -505,47 +508,101 @@ def samples_by_cell(report: dict, metric: str) -> dict[str, list]:
 # Baseline regression deltas
 # ---------------------------------------------------------------------------
 
+def compare_reports(
+    baseline: dict, fresh: dict, tolerance: float = 0.20
+) -> list[str]:
+    """Check a fresh report against its baseline; return failure lines.
+
+    Two gated metrics, each allowed to drift ``tolerance`` (a fraction)
+    in the *bad* direction only — improvements never fail the gate:
+
+    * ``events_per_sec`` may not drop below ``baseline * (1 - tolerance)``;
+    * ``wall_time_s`` may not rise above ``baseline * (1 + tolerance)``,
+      compared only when both runs did the same amount of work (same
+      ``trials`` and ``jobs``).
+
+    A metric missing (or ``None``) on either side is not compared.
+    Returns a list of human-readable failure lines (empty = pass).
+    """
+    failures: list[str] = []
+    name = fresh.get("name", "?")
+
+    base_eps = baseline.get("events_per_sec")
+    fresh_eps = fresh.get("events_per_sec")
+    if base_eps and fresh_eps is not None:
+        floor = base_eps * (1.0 - tolerance)
+        if fresh_eps < floor:
+            failures.append(
+                f"{name}: events/sec regressed {fresh_eps:,.0f} < "
+                f"{floor:,.0f} (baseline {base_eps:,.0f} - {tolerance:.0%})"
+            )
+
+    same_work = all(baseline.get(key) == fresh.get(key) for key in ("trials", "jobs"))
+    base_wall = baseline.get("wall_time_s")
+    fresh_wall = fresh.get("wall_time_s")
+    if same_work and base_wall and fresh_wall is not None:
+        ceiling = base_wall * (1.0 + tolerance)
+        if fresh_wall > ceiling:
+            failures.append(
+                f"{name}: wall time regressed {fresh_wall:.3f}s > "
+                f"{ceiling:.3f}s (baseline {base_wall:.3f}s + {tolerance:.0%})"
+            )
+    return failures
+
+
+def _unlike_work(baseline: dict, report: dict) -> str | None:
+    """Why two reports measured different work, or ``None`` if they did not."""
+    if baseline.get("scale") != report.get("scale"):
+        return f"scale {report.get('scale')} vs baseline {baseline.get('scale')}"
+    cells = [c["params"] for c in report.get("cells", [])]
+    base_cells = [c["params"] for c in baseline.get("cells", [])]
+    if cells != base_cells:
+        return f"cells {cells} vs baseline {base_cells}"
+    return None
+
+
 def baseline_deltas(
     report: dict,
     baseline_dir: str | Path = DEFAULT_BASELINE_DIR,
     tolerance: float = 0.20,
-) -> dict | None:
-    """Regression deltas vs the committed ``BENCH_<baseline>.json``.
+) -> dict:
+    """Regression deltas vs the committed ``EXP_<name>.json`` baseline.
 
-    Returns ``None`` when the spec names no baseline.  Otherwise the
-    fresh report's throughput/wall-time are diffed against the committed
-    baseline through :func:`repro.analysis.bench.compare_reports` — the
-    same gate CI applies to ``repro bench`` — plus signed fractional
-    deltas for the report artifact.  A missing baseline file is reported,
-    not raised: the artifact still carries the fresh numbers.
+    The fresh report's throughput/wall-time are diffed against the
+    committed report of the same spec through :func:`compare_reports`,
+    plus signed fractional deltas for the report artifact.  A missing
+    baseline file is reported, not raised.  A baseline that measured
+    other work (a different scale, or different cells) is reported as
+    ``not_comparable`` (the reason), with no deltas and no failures.
     """
-    name = report.get("baseline")
-    if not name:
-        return None
-    from repro.analysis.bench import compare_reports, load_report
-
+    gate = {
+        "name": f"EXP_{report['name']}.json",
+        "missing": False,
+        "not_comparable": None,
+        "deltas": {},
+        "failures": [],
+    }
     try:
-        baseline = load_report(name, baseline_dir)
+        baseline = load_experiment_report(Path(baseline_dir) / gate["name"])
     except (OSError, json.JSONDecodeError):
-        return {"name": name, "missing": True, "deltas": {}, "failures": []}
+        gate["missing"] = True
+        return gate
+    gate["not_comparable"] = _unlike_work(baseline, report)
+    if gate["not_comparable"] is not None:
+        return gate
 
-    deltas: dict[str, float] = {}
     for key, better in (("events_per_sec", "higher"), ("wall_time_s", "lower")):
         base = baseline.get(key)
         fresh = report.get(key)
         if base and fresh is not None:
             delta = fresh / base - 1.0
-            deltas[key] = round(delta, 4)
+            gate["deltas"][key] = round(delta, 4)
             regressed = delta < 0 if better == "higher" else delta > 0
-            deltas[f"{key}_regressed"] = bool(
+            gate["deltas"][f"{key}_regressed"] = bool(
                 regressed and abs(delta) > tolerance
             )
-    return {
-        "name": name,
-        "missing": False,
-        "deltas": deltas,
-        "failures": compare_reports(baseline, report, tolerance=tolerance),
-    }
+    gate["failures"] = compare_reports(baseline, report, tolerance=tolerance)
+    return gate
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +632,8 @@ def load_experiment_report(path: str | Path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The registered experiments: the paper's figure benches + the ablations
+# The registered experiments: the paper's figure benches, the ablations,
+# and the single-cell gate specs with committed EXP_<name>.json baselines
 # ---------------------------------------------------------------------------
 
 _CONTENTION_MODES = (
@@ -591,7 +649,6 @@ register(ExperimentSpec(
     variables={"mode": ("not running",) + _CONTENTION_MODES},
     metrics=("hi_time", "li_time", "events_fired"),
     seed_base=1000,
-    baseline="defrag_database",
     summary="Figure 3: database run time under five defragmenter regimes",
 ))
 
@@ -612,7 +669,6 @@ register(ExperimentSpec(
     variables={"mode": _CONTENTION_MODES},
     metrics=("li_time", "events_fired"),
     seed_base=3000,
-    baseline="defrag_idle",
     summary="Figure 5: defragment time on an otherwise-idle system",
 ))
 
@@ -679,6 +735,42 @@ register(ExperimentSpec(
     seed_base=3000,
     default_trials=3,
     scale=0.05,
-    baseline="defrag_idle",
     summary="CI smoke: two-mode idle sweep at bench scale (digest parity)",
+))
+
+#: The ``measured_trial`` keys of the defragmenter scenarios; the gate specs
+#: keep every one, so their digest covers each trial's full result.
+_DEFRAG_METRICS = ("hi_time", "li_time", "events_fired", "move_ops")
+
+register(ExperimentSpec(
+    name="bench_defrag_idle",
+    scenario="defrag_idle",
+    variables={"mode": ("unregulated",)},
+    metrics=_DEFRAG_METRICS,
+    seed_base=3000,
+    default_trials=15,
+    scale=0.05,
+    summary="Gate: defragmenter alone on an idle machine (Figure 5 scenario)",
+))
+
+register(ExperimentSpec(
+    name="bench_defrag_database",
+    scenario="defrag_database",
+    variables={"mode": ("MS Manners",)},
+    metrics=_DEFRAG_METRICS,
+    seed_base=1000,
+    default_trials=15,
+    scale=0.05,
+    summary="Gate: regulated defragmenter vs database load (Figure 3 scenario)",
+))
+
+register(ExperimentSpec(
+    name="bench_groveler_setup",
+    scenario="groveler_setup",
+    variables={"mode": ("MS Manners",)},
+    metrics=("hi_time", "li_time", "events_fired"),
+    seed_base=2000,
+    default_trials=15,
+    scale=0.05,
+    summary="Gate: regulated Groveler vs installer (Figure 4 scenario)",
 ))

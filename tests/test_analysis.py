@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis.runner import aggregate, run_trials, trial_count
+from repro.analysis.runner import aggregate, trial_count
 from repro.analysis.stats import box_stats, median, quartiles
 from repro.analysis.tables import format_box_table, format_ratio_line, format_series
 
@@ -96,10 +96,6 @@ class TestTables:
 
 
 class TestRunner:
-    def test_run_trials_distinct_seeds(self):
-        seeds = run_trials(lambda seed: seed, trials=5)
-        assert len(set(seeds)) == 5
-
     def test_trial_count_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRIALS", "7")
         assert trial_count() == 7

@@ -1,4 +1,4 @@
-"""The CI perf gate: compare_reports semantics and the compare script.
+"""The perf gate: compare_reports semantics and ``repro exp run --gate``.
 
 The gate (docs/performance.md) fails only on drift in the *bad* direction
 beyond the tolerance — events/sec down, or wall time up when the two runs
@@ -8,14 +8,10 @@ be compared across runs of different sizing.
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
+import json
 
-from repro.analysis.bench import compare_reports, load_report, write_report
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
+from repro.cli import main
+from repro.experiments.spec import compare_reports
 
 
 def _report(**overrides) -> dict:
@@ -64,49 +60,46 @@ class TestCompareReports:
         fresh = _report(trials=8, wall_time_s=4.0, events_per_sec=100_000)
         assert compare_reports(_report(), fresh) == []
 
-    def test_microbench_sizing_keys_gate_wall_time(self):
-        base = _report(name="engine_hotpath", events=200_000, rounds=4000)
-        bigger = _report(name="engine_hotpath", events=400_000, rounds=4000,
-                         wall_time_s=4.0)
-        assert compare_reports(base, bigger) == []
-        same = _report(name="engine_hotpath", events=200_000, rounds=4000,
-                       wall_time_s=4.0)
-        assert compare_reports(base, same)
-
     def test_missing_metrics_are_not_compared(self):
         assert compare_reports({"name": "x"}, {"name": "x"}) == []
 
 
-class TestLoadReport:
-    def test_roundtrips_write_report(self, tmp_path):
-        report = _report()
-        write_report(report, tmp_path)
-        assert load_report("defrag_idle", tmp_path) == report
-
-
-class TestCompareBaselineScript:
-    def _run(self, *args: str) -> subprocess.CompletedProcess:
-        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-        return subprocess.run(
-            [sys.executable, str(REPO_ROOT / "benchmarks" / "compare_baseline.py"),
-             *args],
-            capture_output=True, text=True, env=env, cwd=REPO_ROOT,
+class TestGateCli:
+    def _run(self, tmp_path, *extra: str) -> int:
+        return main(
+            [
+                "--quiet", "exp", "run", "smoke",
+                "--trials", "1", "--scale", "0.01", "--no-cache",
+                "--out", str(tmp_path / "fresh"), *extra,
+            ]
         )
 
-    def test_exit_zero_on_identical_and_one_on_regression(self, tmp_path):
+    def _commit_baseline(self, tmp_path, events_per_sec: float) -> str:
+        """Commit the last fresh run as the baseline, with a set throughput
+        and a wall time no rerun can exceed, so only events/sec decides."""
+        report = json.loads((tmp_path / "fresh" / "EXP_smoke.json").read_text())
+        report.update(events_per_sec=events_per_sec, wall_time_s=1e9)
         baseline_dir = tmp_path / "baseline"
-        fresh_dir = tmp_path / "fresh"
-        write_report(_report(), baseline_dir)
-        write_report(_report(), fresh_dir)
+        baseline_dir.mkdir(exist_ok=True)
+        (baseline_dir / "EXP_smoke.json").write_text(json.dumps(report))
+        return str(baseline_dir)
 
-        ok = self._run("--baseline", str(baseline_dir), "--fresh",
-                       str(fresh_dir), "defrag_idle")
-        assert ok.returncode == 0, ok.stderr
-        assert "ok defrag_idle" in ok.stdout
-        assert "+0.0%" in ok.stdout  # the drift ratio, not fresh/base
+    def test_exit_zero_on_pass_and_one_on_regression(self, tmp_path, capsys):
+        assert self._run(tmp_path) == 0
+        slow = self._commit_baseline(tmp_path, events_per_sec=1)
+        assert self._run(tmp_path, "--gate", "--baseline-dir", slow) == 0
 
-        write_report(_report(events_per_sec=70_000), fresh_dir)
-        bad = self._run("--baseline", str(baseline_dir), "--fresh",
-                        str(fresh_dir), "defrag_idle")
-        assert bad.returncode == 1
-        assert "REGRESSION" in bad.stderr
+        fast = self._commit_baseline(tmp_path, events_per_sec=1e12)
+        capsys.readouterr()
+        assert self._run(tmp_path, "--gate", "--baseline-dir", fast) == 1
+        captured = capsys.readouterr()
+        assert "events/sec regressed" in captured.out
+        assert "baseline regression gate failed" in captured.err
+
+    def test_unlike_work_is_not_gated(self, tmp_path, capsys):
+        assert self._run(tmp_path) == 0
+        fast = self._commit_baseline(tmp_path, events_per_sec=1e12)
+        capsys.readouterr()
+        code = self._run(tmp_path, "--gate", "--baseline-dir", fast, "--scale", "0.02")
+        assert code == 0
+        assert "not comparable (scale 0.02 vs baseline 0.01)" in capsys.readouterr().out

@@ -237,60 +237,50 @@ class TestTraceOut:
 
 
 class TestBench:
+    """The timed gate specs run through ``repro exp`` like any other spec."""
+
     def test_list_names_benchmarks(self, capsys):
-        assert main(["bench", "--list"]) == 0
+        assert main(["exp", "list"]) == 0
         out = capsys.readouterr().out
-        assert "defrag_idle" in out
-        assert "defrag_database" in out
+        assert "bench_defrag_idle" in out
+        assert "bench_defrag_database" in out
+        assert "bench_groveler_setup" in out
 
-    def test_missing_name_lists_and_errors(self, capsys):
-        assert main(["bench"]) == 2
-        captured = capsys.readouterr()
-        assert "defrag_idle" in captured.out
-        assert "name a benchmark" in captured.err
+    def test_bench_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "defrag_idle"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
-    def test_unknown_name_rejected(self, capsys):
-        assert main(["bench", "nope"]) == 2
-        assert "unknown benchmark" in capsys.readouterr().err
+    def test_unknown_name_rejected(self, tmp_path, capsys):
+        # One bad name fails the whole batch before any spec runs.
+        code = main(["exp", "run", "bench_defrag_idle", "bench_nope", "--out", str(tmp_path)])
+        assert code == 2
+        assert "unknown experiment 'bench_nope'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
-    def test_writes_report_with_parity(self, tmp_path, capsys):
-        code = main(
-            [
-                "bench", "defrag_idle",
-                "--jobs", "2",
-                "--trials", "3",
-                "--scale", "0.01",
-                "--no-cache",
-                "--out", str(tmp_path),
-            ]
-        )
-        assert code == 0
-        report = json.loads((tmp_path / "BENCH_defrag_idle.json").read_text())
-        assert report["name"] == "defrag_idle"
-        assert report["jobs"] == 2
-        assert report["trials"] == 3
-        assert report["parity_ok"] is True
-        assert report["trials_per_sec"] > 0
-        assert report["events_total"] > 0
-        assert len(report["results_digest"]) == 16
-        out = capsys.readouterr().out
-        assert "parity" in out
-
-    def test_serial_run_skips_parity_pass(self, tmp_path):
-        code = main(
-            [
-                "bench", "defrag_idle",
-                "--jobs", "1",
-                "--trials", "2",
-                "--scale", "0.01",
-                "--no-cache",
-                "--out", str(tmp_path),
-            ]
-        )
-        assert code == 0
-        report = json.loads((tmp_path / "BENCH_defrag_idle.json").read_text())
-        assert report["speedup_vs_serial"] is None
-        assert report["parity_ok"] is None
+    def test_writes_report_with_parity(self, tmp_path):
+        digests = []
+        for jobs in ("2", "1"):
+            out_dir = tmp_path / f"jobs{jobs}"
+            code = main(
+                [
+                    "exp", "run", "bench_defrag_idle",
+                    "--jobs", jobs,
+                    "--trials", "3",
+                    "--scale", "0.01",
+                    "--no-cache",
+                    "--out", str(out_dir),
+                ]
+            )
+            assert code == 0
+            report = json.loads((out_dir / "EXP_bench_defrag_idle.json").read_text())
+            assert report["jobs"] == int(jobs)
+            assert report["trials"] == 3
+            assert report["events_total"] > 0
+            assert report["events_per_sec"] > 0
+            digests.append(report["results_digest"])
+        assert digests[0] == digests[1]
 
 
 @pytest.mark.slow
@@ -419,7 +409,7 @@ class TestExp:
         assert "fig5_idle" in out
         assert "ablation_backoff" in out
         assert "smoke" in out
-        assert "baseline=defrag_idle" in out
+        assert "bench_defrag_idle" in out
 
     def test_unknown_name_rejected(self, capsys):
         assert main(["exp", "run", "nope"]) == 2
@@ -449,6 +439,23 @@ class TestExp:
         out = capsys.readouterr().out
         assert "digest" in out
         assert "missing" in out
+
+    def test_default_run_leaves_committed_baselines_untouched(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        committed = tmp_path / "benchmarks" / "results"
+        committed.mkdir(parents=True)
+        baseline = committed / "EXP_smoke.json"
+        baseline.write_text('{"name": "smoke"}\n', encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code = main(
+            ["exp", "run", "smoke", "--trials", "1", "--scale", "0.01", "--no-cache"]
+        )
+        assert code == 0
+        assert [p.name for p in committed.iterdir()] == ["EXP_smoke.json"]
+        assert baseline.read_text(encoding="utf-8") == '{"name": "smoke"}\n'
+        assert (tmp_path / "exp-results" / "EXP_smoke.json").exists()
+        assert "report -> exp-results" in capsys.readouterr().out
 
     def test_run_multiple_specs_combined_artifact(self, tmp_path):
         code = main(

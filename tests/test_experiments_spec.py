@@ -4,8 +4,9 @@ Determinism contract tests: cell enumeration is a pure function of the
 spec, per-cell seeds are independent of enumeration order under
 ``seeds="derived"``, serial and parallel runs produce bit-identical
 report digests, and the trial cache round-trips a spec run (a warm second
-run executes zero trials).  Plus spec-resolution precedence, registry
-validation, the baseline-delta helper, and the report artifact format.
+run executes zero trials and reports no throughput).  Plus
+spec-resolution precedence, registry validation, the like-work baseline
+gate, and the report artifact format.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ import json
 import pytest
 
 from repro.analysis.parallel import TrialCache
-from repro.apps.base import RegulationMode
-from repro.experiments.scenarios import mode_sweep
+from repro.experiments.scenarios import measured_trial
 from repro.experiments.spec import (
     EXPERIMENTS,
     SCENARIOS,
     ExperimentSpec,
     baseline_deltas,
     cell_seed_base,
+    compare_reports,
     enumerate_cells,
     get_experiment,
     load_experiment_report,
@@ -192,6 +193,7 @@ class TestRegistry:
             "fig3_database", "fig4_setup", "fig5_idle", "fig6_contended",
             "fig6_defrag_alone", "fig6_database_alone",
             "ablation_backoff", "ablation_comparator", "smoke",
+            "bench_defrag_database", "bench_defrag_idle", "bench_groveler_setup",
         ):
             assert name in EXPERIMENTS
             assert EXPERIMENTS[name].scenario in SCENARIOS
@@ -223,25 +225,15 @@ class TestRegistry:
 
 
 class TestRunExperiment:
-    def test_matches_legacy_mode_sweep_bit_identically(self):
-        report = run_experiment(TINY)
-        legacy = mode_sweep(
-            "defrag_idle",
-            (RegulationMode.UNREGULATED, RegulationMode.MS_MANNERS),
-            "li_time",
-            trials=2,
-            seed_base=3000,
-            scale=0.01,
-        )
-        assert samples_by_cell(report, "li_time") == legacy
+    def test_tiny_digest_pinned(self):
+        """``TINY``'s digest, recorded when the spec path was checked
+        bit-identical against the hand-rolled per-mode sweep it replaced."""
+        assert run_experiment(TINY)["results_digest"] == "15ee7a055df63f09"
 
-    def test_fig4_port_matches_legacy_mode_sweep_bit_identically(self):
-        """The fig4_setup port: same scenario/seeds/samples as the sweep.
-
-        Runs the ported shape (groveler_setup, seed_base=2000) at a tiny
-        scale and a two-mode subset against the legacy ``mode_sweep``
-        path it replaced; samples must be bit-identical.
-        """
+    def test_fig4_tiny_digest_pinned(self):
+        """The fig4_setup port's shape (groveler_setup, seed_base=2000) at
+        a tiny scale and a two-mode subset; the digest was recorded when
+        its samples matched the hand-rolled sweep bit for bit."""
         spec = ExperimentSpec(
             name="fig4_tiny",
             scenario="groveler_setup",
@@ -251,16 +243,16 @@ class TestRunExperiment:
             trials=2,
             scale=0.01,
         )
-        report = run_experiment(spec)
-        legacy = mode_sweep(
-            "groveler_setup",
-            (RegulationMode.NOT_RUNNING, RegulationMode.MS_MANNERS),
-            "hi_time",
-            trials=2,
-            seed_base=2000,
-            scale=0.01,
-        )
-        assert samples_by_cell(report, "hi_time") == legacy
+        assert run_experiment(spec)["results_digest"] == "b7c356d55334165f"
+
+    @pytest.mark.parametrize(
+        "name", ["bench_defrag_database", "bench_defrag_idle", "bench_groveler_setup"]
+    )
+    def test_gate_specs_collect_every_trial_key(self, name):
+        spec = get_experiment(name)
+        ((_, (mode,)),) = spec.variables
+        trial = measured_trial(spec.scenario, mode, spec.seed_base, scale=0.01)
+        assert set(spec.metrics) == set(trial)
 
     def test_serial_parallel_digest_parity(self):
         serial = run_experiment(TINY, jobs=1)
@@ -279,6 +271,17 @@ class TestRunExperiment:
         assert second["trials_cached"] == 4
         assert second["results_digest"] == first["results_digest"]
         assert second["cells"] == first["cells"]
+
+    def test_warm_cache_run_reports_no_throughput(self, tmp_path):
+        # A cached trial costs a file read, not a simulation, so dividing
+        # its events by the lookup time would overstate events/sec.
+        cache = TrialCache(tmp_path)
+        cold = run_experiment(TINY, cache=cache)
+        assert cold["events_per_sec"] > 0
+        warm = run_experiment(TINY, cache=cache)
+        assert warm["trials_cached"] == 4
+        assert warm["events_per_sec"] is None
+        assert compare_reports(cold, warm) == []
 
     def test_report_shape(self):
         report = run_experiment(TINY)
@@ -307,34 +310,55 @@ class TestRunExperiment:
         assert report["scale"] == 0.02
 
 
-class TestBaselineAndArtifact:
-    def test_no_baseline_returns_none(self):
-        report = run_experiment(TINY)
-        assert baseline_deltas(report) is None
+def _write_baseline(report: dict, directory, **overrides) -> None:
+    """Commit ``report`` (with ``overrides``) as its spec's baseline."""
+    path = directory / f"EXP_{report['name']}.json"
+    path.write_text(json.dumps({**report, **overrides}), encoding="utf-8")
 
+
+class TestBaselineAndArtifact:
     def test_missing_baseline_reported_not_raised(self, tmp_path):
         report = run_experiment(TINY)
-        report["baseline"] = "defrag_idle"
         gate = baseline_deltas(report, baseline_dir=tmp_path)
+        assert gate["name"] == "EXP_tiny_idle.json"
         assert gate["missing"] is True
         assert gate["failures"] == []
 
     def test_deltas_against_committed_style_baseline(self, tmp_path):
         report = run_experiment(TINY)
-        report["baseline"] = "defrag_idle"
-        baseline = {
-            "name": "defrag_idle",
-            "events_per_sec": report["events_per_sec"] * 2,
-            "wall_time_s": report["wall_time_s"],
-            "trials": report["trials"],
-        }
-        path = tmp_path / "BENCH_defrag_idle.json"
-        path.write_text(json.dumps(baseline), encoding="utf-8")
+        _write_baseline(
+            report, tmp_path, events_per_sec=report["events_per_sec"] * 2
+        )
         gate = baseline_deltas(report, baseline_dir=tmp_path)
         assert gate["missing"] is False
+        assert gate["not_comparable"] is None
         assert gate["deltas"]["events_per_sec"] == pytest.approx(-0.5, abs=0.01)
         assert gate["deltas"]["events_per_sec_regressed"] is True
         assert gate["failures"], "a 2x throughput drop must fail the gate"
+
+    def test_scale_mismatch_is_not_comparable(self, tmp_path):
+        committed = run_experiment(TINY)
+        _write_baseline(
+            committed, tmp_path, events_per_sec=committed["events_per_sec"] * 2
+        )
+        fresh = run_experiment(TINY, scale=0.02)
+        gate = baseline_deltas(fresh, baseline_dir=tmp_path)
+        assert gate["not_comparable"] == "scale 0.02 vs baseline 0.01"
+        assert gate["deltas"] == {}
+        assert gate["failures"] == []
+
+    def test_cell_mismatch_is_not_comparable(self, tmp_path):
+        committed = run_experiment(TINY)
+        _write_baseline(
+            committed,
+            tmp_path,
+            events_per_sec=committed["events_per_sec"] * 2,
+            cells=committed["cells"][:1],
+        )
+        gate = baseline_deltas(run_experiment(TINY), baseline_dir=tmp_path)
+        assert gate["not_comparable"].startswith("cells ")
+        assert gate["deltas"] == {}
+        assert gate["failures"] == []
 
     def test_artifact_round_trip(self, tmp_path):
         report = run_experiment(TINY)

@@ -15,7 +15,6 @@ from repro.analysis.parallel import (
     config_fingerprint,
     resolve_jobs,
 )
-from repro.analysis.runner import run_trials
 from repro.experiments.scenarios import MEASURED_SCENARIOS, measured_trial
 from repro.obs import MetricsRegistry, Telemetry
 
@@ -94,14 +93,9 @@ class TestSerialParallelParity:
         out = ParallelRunner(jobs=4).run(_double, trials=8, seed_base=100)
         assert [r["seed"] for r in out] == list(range(100, 108))
 
-    def test_run_trials_jobs_kwarg(self):
-        serial = run_trials(_double, trials=5, seed_base=50, jobs=1)
-        fanned = run_trials(_double, trials=5, seed_base=50, jobs=4)
-        assert fanned == serial
-
     def test_serial_path_accepts_lambdas(self):
-        # The historical jobs=1 path must keep working for closures.
-        out = run_trials(lambda seed: seed + 1, trials=3, seed_base=0, jobs=1)
+        # jobs=1 runs inline, so closures work and each trial gets its own seed.
+        out = ParallelRunner(jobs=1).run(lambda seed: seed + 1, trials=3, seed_base=0)
         assert out == [1, 2, 3]
 
     def test_invalid_trial_count(self):
