@@ -4,7 +4,6 @@ from repro.analysis.ascii_plot import sparkline, timeseries_plot
 from repro.analysis.parallel import (
     ParallelRunner,
     TrialCache,
-    TrialEnvelope,
     code_fingerprint,
     config_fingerprint,
     resolve_jobs,
@@ -17,7 +16,6 @@ __all__ = [
     "BoxStats",
     "ParallelRunner",
     "TrialCache",
-    "TrialEnvelope",
     "aggregate",
     "box_stats",
     "code_fingerprint",

@@ -1,4 +1,4 @@
-"""Parallel trial execution: process fan-out, result envelopes, trial cache.
+"""Parallel trial execution: process fan-out and a trial cache.
 
 The paper's contention experiments repeat every configuration 50 times
 (section 9.2), and the ROADMAP's production target is sweeps over large
@@ -13,12 +13,6 @@ execution layer:
   list a serial run would — bit-identical aggregates, regardless of worker
   count or completion order.  ``jobs=1`` (or ``REPRO_JOBS=1``) is an exact
   serial fallback that never touches the pool machinery.
-* :class:`TrialEnvelope` is the picklable unit shipped back from a worker:
-  the trial's return value plus the worker-local ``repro.obs`` counter
-  snapshot.  The parent merges counters into the caller's
-  :class:`~repro.obs.metrics.MetricsRegistry`, so telemetry totals stay
-  correct across process boundaries (counters are additive; gauges and
-  histograms are per-worker and intentionally not merged).
 * :class:`TrialCache` keys a finished trial on
   ``(benchmark name, scenario-config fingerprint, seed, code fingerprint)``
   and stores the JSON-serializable result under
@@ -39,20 +33,15 @@ import hashlib
 import json
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from repro.analysis.env import env_int, parse_count
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.telemetry import Telemetry
 
 __all__ = [
     "ParallelRunner",
     "TrialCache",
-    "TrialEnvelope",
     "resolve_jobs",
     "code_fingerprint",
     "config_fingerprint",
@@ -127,38 +116,9 @@ def config_fingerprint(config: Any) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-@dataclass
-class TrialEnvelope:
-    """Picklable per-trial result shipped from a worker to the parent."""
-
-    #: Position in the seed sequence (results are reassembled by index).
-    index: int
-    #: The seed this trial ran with (``seed_base + index``).
-    seed: int
-    #: The trial function's return value.
-    value: Any
-    #: Worker-local ``repro.obs`` counter totals for this trial (empty when
-    #: the run is not telemetry-instrumented).
-    counters: dict[str, float] = dataclasses.field(default_factory=dict)
-
-
-def _execute_trial(
-    trial: Callable[..., Any], index: int, seed: int, with_telemetry: bool
-) -> TrialEnvelope:
-    """Run one trial (in a worker or inline) and wrap it in an envelope.
-
-    With telemetry, the trial is called as ``trial(seed, telemetry=...)``
-    with a fresh worker-local handle whose counters are snapshotted into
-    the envelope for additive merging in the parent.
-    """
-    if not with_telemetry:
-        return TrialEnvelope(index=index, seed=seed, value=trial(seed))
-    from repro.obs import MetricsRegistry, Telemetry
-
-    telemetry = Telemetry(metrics=MetricsRegistry())
-    value = trial(seed, telemetry=telemetry)
-    counters = telemetry.metrics.snapshot()["counters"]
-    return TrialEnvelope(index=index, seed=seed, value=value, counters=counters)
+def _execute_trial(trial: Callable[..., Any], index: int, seed: int) -> tuple[int, Any]:
+    """Run one trial (in a worker or inline); tag its value with its index."""
+    return index, trial(seed)
 
 
 class TrialCache:
@@ -258,18 +218,13 @@ class ParallelRunner:
         trial: Callable[..., Any],
         trials: int,
         seed_base: int = 1000,
-        telemetry: "Telemetry | None" = None,
         cache_name: str | None = None,
         cache_config: Any = None,
     ) -> list[Any]:
         """Run ``trials`` seeds of ``trial``; return results in seed order.
 
-        With ``telemetry``, the trial is invoked as
-        ``trial(seed, telemetry=...)`` against a per-trial registry and the
-        counter totals are merged (summed) into ``telemetry.metrics``.
         With a cache and a ``cache_name``, completed seeds are loaded
-        instead of re-run and fresh results are stored back; cached seeds
-        contribute no counters (they did not execute).
+        instead of re-run and fresh results are stored back.
         """
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
@@ -290,28 +245,19 @@ class ParallelRunner:
                     continue
             pending.append((i, seed))
 
-        with_telemetry = telemetry is not None
-        for envelope in self._execute(pending, trial, with_telemetry):
-            results[envelope.index] = envelope.value
-            if with_telemetry:
-                for name, total in envelope.counters.items():
-                    telemetry.metrics.inc(name, total)
+        for index, value in self._execute(pending, trial):
+            results[index] = value
             if use_cache:
-                self.cache.put(cache_name, keys[envelope.index], envelope.value)
+                self.cache.put(cache_name, keys[index], value)
         return results
 
-    def _execute(
-        self,
-        pending: list[tuple[int, int]],
-        trial: Callable[..., Any],
-        with_telemetry: bool,
-    ):
-        """Yield envelopes for every pending (index, seed), any order."""
+    def _execute(self, pending: list[tuple[int, int]], trial: Callable[..., Any]):
+        """Yield ``(index, value)`` for every pending (index, seed), any order."""
         if not pending:
             return
         if self.jobs == 1 or len(pending) == 1:
             for index, seed in pending:
-                yield _execute_trial(trial, index, seed, with_telemetry)
+                yield _execute_trial(trial, index, seed)
             return
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.jobs)
@@ -323,9 +269,7 @@ class ParallelRunner:
         def submit_next() -> None:
             item = next(queue, None)
             if item is not None:
-                futures.add(
-                    pool.submit(_execute_trial, trial, item[0], item[1], with_telemetry)
-                )
+                futures.add(pool.submit(_execute_trial, trial, item[0], item[1]))
 
         for _ in range(workers * _DISPATCH_DEPTH):
             submit_next()

@@ -166,6 +166,11 @@ class RealTimeRegulator:
         with self._cond:
             if tid in self._supervisor.thread_ids():
                 self._supervisor.unregister_thread(tid)
+                # Re-arbitrate now: seat the next eligible thread, or give
+                # the machine-wide token back if none is eligible (always so
+                # after the last thread), or a peer process waits for the
+                # token to go stale.
+                self._supervisor.poll(time.monotonic())
             self._cond.notify_all()
 
     # -- persistence & lifecycle -------------------------------------------------------

@@ -25,9 +25,9 @@ disk model.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import compress, count, islice
 from typing import Iterator
 
 from repro.simos.engine import SimulationError
@@ -39,6 +39,30 @@ __all__ = [
     "Volume",
     "populate_volume",
 ]
+
+#: Free-list index block size: a block of address-ordered free runs splits
+#: in two when it grows past ``_MAX_RUNS`` runs, and one that shrinks to
+#: ``_BLOCK // 2`` runs merges with a neighbour when the two fit in
+#: ``_BLOCK`` runs.
+_BLOCK = 32
+_MAX_RUNS = 2 * _BLOCK
+
+
+def _grow(lengths: list[int], old: int, new: int) -> None:
+    """Replace one ``old`` with a larger ``new`` in the sorted ``lengths``.
+
+    A grown run often keeps its rank, and then one store does what a delete
+    and an insort would.  :meth:`Volume.free` inlines the same steps.
+    """
+    if lengths[-1] == old:
+        lengths[-1] = new
+        return
+    i = bisect_left(lengths, old)
+    if lengths[i + 1] >= new:
+        lengths[i] = new
+    else:
+        del lengths[i]
+        insort(lengths, new)
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,8 +119,8 @@ class Volume:
 
     __slots__ = (
         "name", "disk", "start_block", "total_blocks", "block_size", "_files",
-        "_by_path", "_starts", "_counts", "_sizes", "_free_total", "_journal",
-        "_next_file_id", "_next_usn",
+        "_by_path", "_blocks", "_maxes", "_firsts", "_sizes", "_free_total",
+        "_journal", "_next_file_id", "_next_usn",
     )
 
     def __init__(
@@ -115,11 +139,18 @@ class Volume:
         self.block_size = block_size
         self.total_blocks = total_blocks
         self.start_block = start_block
-        # The free list, indexed: address-ordered runs as parallel
-        # start/count lists, a sorted multiset of run lengths, and a total.
-        self._starts: list[int] = [0]
-        self._counts: list[int] = [total_blocks]
+        # The free list, indexed in blocks of address-ordered runs.  A block
+        # is [starts, counts, lengths]: parallel start/count lists and its
+        # run lengths sorted; ``_maxes`` and ``_firsts`` hold each block's
+        # largest run and first start.  ``_sizes`` is the sorted multiset of
+        # every run length and ``_free_total`` their sum.  Blocks are never
+        # empty and hold at most _MAX_RUNS runs.  A lone block uses
+        # ``_sizes`` as its lengths, so a short free list keeps one sorted
+        # multiset, as a flat list would.
         self._sizes: list[int] = [total_blocks]
+        self._blocks: list[list[list[int]]] = [[[0], [total_blocks], self._sizes]]
+        self._maxes: list[int] = [total_blocks]
+        self._firsts: list[int] = [0]
         self._free_total = total_blocks
         self._files: dict[int, SimFile] = {}
         self._by_path: dict[str, int] = {}
@@ -231,56 +262,242 @@ class Volume:
                 "allocate with more fragments"
             )
         # First-fit for determinism; a seeded rng picks a random fit instead,
-        # which is how fragmented (aged) layouts are manufactured.  The fit
-        # scan runs in C; the seeded path must choose among all fitting runs
-        # in address order, or every aged layout changes.
-        starts, counts = self._starts, self._counts
-        fits = compress(count(), map(size.__le__, counts))
-        index = rng.choice(list(fits)) if rng is not None else next(fits)
-        start, run = starts[index], counts[index]
-        del sizes[bisect_left(sizes, run)]
-        if run > size:
-            starts[index] = start + size
-            counts[index] = run - size
-            insort(sizes, run - size)
+        # which is how fragmented (aged) layouts are manufactured.  The seeded
+        # pick must be the k-th fit in address order, k drawn as
+        # ``rng.choice`` over the list of all fits would draw it, or every
+        # aged layout changes: ``randrange(n)`` and ``choice`` of n items
+        # both draw ``_randbelow(n)``.  Fit scans run in C; a lone block
+        # skips the block search.
+        blocks = self._blocks
+        b = 0
+        if rng is None:
+            if len(blocks) > 1:
+                b = next(compress(count(), map(size.__le__, self._maxes)))
+            starts, counts, lengths = blocks[b]
+            i = 0 if counts[0] >= size else next(compress(count(), map(size.__le__, counts)))
         else:
-            del starts[index]
-            del counts[index]
+            n = len(sizes) - bisect_left(sizes, size)
+            k = rng.randrange(n)
+            # Find the k-th fit's block from each block's fit count, walking
+            # from whichever end is nearer.
+            if len(blocks) > 1:
+                if k + k < n:
+                    for _, _, lengths in blocks:
+                        fits = len(lengths) - bisect_left(lengths, size)
+                        if k < fits:
+                            break
+                        k -= fits
+                        b += 1
+                else:
+                    k = n - 1 - k
+                    b = len(blocks) - 1
+                    for _, _, lengths in reversed(blocks):
+                        fits = len(lengths) - bisect_left(lengths, size)
+                        if k < fits:
+                            k = fits - 1 - k
+                            break
+                        k -= fits
+                        b -= 1
+            starts, counts, lengths = blocks[b]
+            i = next(islice(compress(count(), map(size.__le__, counts)), k, None))
+        start, run = starts[i], counts[i]
         self._free_total -= size
+        if run > size:
+            starts[i] = start + size
+            counts[i] = rest = run - size
+            # The shrunk run often keeps its rank: then a store does what a
+            # delete and an insort would.
+            j = bisect_left(sizes, run)
+            if j and sizes[j - 1] > rest:
+                del sizes[j]
+                insort(sizes, rest)
+            else:
+                sizes[j] = rest
+            if lengths is not sizes:
+                j = bisect_left(lengths, run)
+                if j and lengths[j - 1] > rest:
+                    del lengths[j]
+                    insort(lengths, rest)
+                else:
+                    lengths[j] = rest
+            if i == 0:
+                self._firsts[b] = start + size
+        else:
+            del sizes[bisect_left(sizes, run)]
+            if len(starts) == 1:
+                self._drop_block(b)
+                return Extent(start, size)
+            del starts[i]
+            del counts[i]
+            if lengths is not sizes:
+                del lengths[bisect_left(lengths, run)]
+            if i == 0:
+                self._firsts[b] = starts[0]
+        self._maxes[b] = lengths[-1]
+        if run == size and len(starts) <= _BLOCK // 2 and lengths is not sizes:
+            self._rebalance(b)
         return Extent(start, size)
 
     def free(self, extents: list[Extent]) -> None:
         """Return extents to the free pool (coalescing neighbours)."""
+        blocks, maxes, firsts, sizes = self._blocks, self._maxes, self._firsts, self._sizes
         for extent in extents:
-            self._free_extent(extent)
+            start, run = extent.start, extent.count
+            self._free_total += run
+            # The run belongs to the last block starting before it, so its
+            # left neighbour is always in that block.
+            b = bisect_right(firsts, start) - 1
+            if b < 0:
+                if not blocks:  # The volume was full.
+                    blocks.append([[start], [run], sizes])
+                    maxes.append(run)
+                    firsts.append(start)
+                    sizes.append(run)
+                    continue
+                b = 0
+            starts, counts, lengths = blocks[b]
+            i = bisect_left(starts, start)
+            end = start + run
+            if starts[-1] > start:
+                right = starts[i] == end
+            elif b + 1 < len(firsts) and firsts[b + 1] == end:
+                self._free_at_edge(b, start, run)
+                continue
+            else:
+                right = False
+            # Coalesce with the left neighbour, the right one, or both, in
+            # place; a lone run is inserted.
+            if i and starts[i - 1] + counts[i - 1] == start:
+                i -= 1
+                if right:
+                    gone = counts[i + 1]
+                    run += gone
+                    del starts[i + 1]
+                    del counts[i + 1]
+                    del sizes[bisect_left(sizes, gone)]
+                    if lengths is not sizes:
+                        del lengths[bisect_left(lengths, gone)]
+            elif right:
+                starts[i] = start
+                if i == 0:
+                    firsts[b] = start
+            else:
+                starts.insert(i, start)
+                counts.insert(i, run)
+                if i == 0:
+                    firsts[b] = start
+                insort(sizes, run)
+                if len(starts) > _MAX_RUNS:
+                    self._split_block(b)
+                    continue
+                if lengths is not sizes:
+                    insort(lengths, run)
+                maxes[b] = lengths[-1]
+                continue
+            old = counts[i]
+            counts[i] = run = run + old
+            # The grown run often keeps its rank (in the defragmenter's
+            # relocations it is nearly always the largest): then a store
+            # does what a delete and an insort would.
+            if sizes[-1] == old:
+                sizes[-1] = run
+            else:
+                j = bisect_left(sizes, old)
+                if sizes[j + 1] >= run:
+                    sizes[j] = run
+                else:
+                    del sizes[j]
+                    insort(sizes, run)
+            if lengths is not sizes:
+                if lengths[-1] == old:
+                    lengths[-1] = run
+                else:
+                    j = bisect_left(lengths, old)
+                    if lengths[j + 1] >= run:
+                        lengths[j] = run
+                    else:
+                        del lengths[j]
+                        insort(lengths, run)
+            maxes[b] = lengths[-1]
+            if right and len(starts) <= _BLOCK // 2 and lengths is not sizes:
+                self._rebalance(b)
 
-    def _free_extent(self, extent: Extent) -> None:
-        starts, counts, sizes = self._starts, self._counts, self._sizes
-        start, run = extent.start, extent.count
-        i = bisect_left(starts, start)
-        # Coalesce with the right neighbour, the left one, or both, in place.
-        right = i < len(starts) and starts[i] == start + run
-        if i > 0 and starts[i - 1] + counts[i - 1] == start:
-            i -= 1
-            start = starts[i]
-            run += counts[i]
-            del sizes[bisect_left(sizes, counts[i])]
-            if right:
-                run += counts[i + 1]
-                del sizes[bisect_left(sizes, counts[i + 1])]
-                del starts[i + 1]
-                del counts[i + 1]
-            counts[i] = run
-        elif right:
-            run += counts[i]
-            del sizes[bisect_left(sizes, counts[i])]
-            starts[i] = start
-            counts[i] = run
-        else:
-            starts.insert(i, start)
-            counts.insert(i, run)
-        insort(sizes, run)
-        self._free_total += extent.count
+    def _free_at_edge(self, b: int, start: int, run: int) -> None:
+        """Free a run whose right neighbour is the first run of block b + 1.
+
+        There are two blocks at least, so neither uses ``_sizes`` as its
+        lengths.
+        """
+        sizes, maxes, firsts = self._sizes, self._maxes, self._firsts
+        starts, counts, lengths = self._blocks[b]
+        after_starts, after_counts, after_lengths = self._blocks[b + 1]
+        right = after_counts[0]
+        if starts[-1] + counts[-1] != start:
+            # Only the right neighbour: it grows leftwards.
+            after_starts[0] = firsts[b + 1] = start
+            after_counts[0] = run + right
+            _grow(sizes, right, run + right)
+            _grow(after_lengths, right, run + right)
+            maxes[b + 1] = after_lengths[-1]
+            return
+        # Both: block b's last run takes in the run and block b + 1's first
+        # run, which leaves block b + 1 (and drops it, if it was its only).
+        left = counts[-1]
+        counts[-1] = left + run + right
+        _grow(sizes, left, counts[-1])
+        _grow(lengths, left, counts[-1])
+        maxes[b] = lengths[-1]
+        del sizes[bisect_left(sizes, right)]
+        if len(after_starts) == 1:
+            self._drop_block(b + 1)
+            return
+        del after_starts[0]
+        del after_counts[0]
+        del after_lengths[bisect_left(after_lengths, right)]
+        firsts[b + 1] = after_starts[0]
+        maxes[b + 1] = after_lengths[-1]
+        if len(after_starts) <= _BLOCK // 2:
+            self._rebalance(b + 1)
+
+    def _split_block(self, b: int) -> None:
+        starts, counts, _ = self._blocks[b]
+        tail = [starts[_BLOCK:], counts[_BLOCK:], sorted(counts[_BLOCK:])]
+        del starts[_BLOCK:]
+        del counts[_BLOCK:]
+        # A new list, never an in-place sort: a lone block's lengths are
+        # ``_sizes``.
+        self._blocks[b][2] = lengths = sorted(counts)
+        self._maxes[b] = lengths[-1]
+        self._blocks.insert(b + 1, tail)
+        self._maxes.insert(b + 1, tail[2][-1])
+        self._firsts.insert(b + 1, tail[0][0])
+
+    def _rebalance(self, b: int) -> None:
+        """Merge a shrunk block b with a neighbour when the two fit in
+        ``_BLOCK`` runs, so a free list that shrinks keeps few blocks."""
+        blocks = self._blocks
+        runs = len(blocks[b][0])
+        if b + 1 < len(blocks) and runs + len(blocks[b + 1][0]) <= _BLOCK:
+            self._merge_next(b)
+        elif b and len(blocks[b - 1][0]) + runs <= _BLOCK:
+            self._merge_next(b - 1)
+
+    def _merge_next(self, b: int) -> None:
+        starts, counts, _ = self._blocks[b]
+        after_starts, after_counts, _ = self._blocks[b + 1]
+        starts += after_starts
+        counts += after_counts
+        self._drop_block(b + 1)
+        if len(self._blocks) > 1:
+            self._blocks[b][2] = sorted(counts)
+        self._maxes[b] = self._blocks[b][2][-1]
+
+    def _drop_block(self, b: int) -> None:
+        del self._blocks[b]
+        del self._maxes[b]
+        del self._firsts[b]
+        if len(self._blocks) == 1:
+            self._blocks[0][2] = self._sizes
 
     def largest_free_extent(self) -> int:
         """Size in blocks of the largest contiguous free run."""

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import bisect
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simos.engine import SimulationError
-from repro.simos.filesystem import Extent, Volume, populate_volume
+from repro.simos.filesystem import _BLOCK, Extent, Volume, populate_volume
 
 
 def make_volume(blocks=10_000) -> Volume:
@@ -305,19 +306,25 @@ class ListAllocator:
 
     def __init__(self, total_blocks: int) -> None:
         self.runs = [Extent(0, total_blocks)]
+        #: Per piece of the last allocation: the start of the run it was cut
+        #: from, that run's rank among the fits, and the number of fits.
+        self.picks: list[tuple[int, int, int]] = []
 
     def allocate(self, sizes: list[int], spread_seed: int | None) -> list[Extent]:
         if sum(sizes) > sum(e.count for e in self.runs):
             raise SimulationError("full")
         rng = random.Random(spread_seed) if spread_seed is not None else None
         saved, out = list(self.runs), []
+        self.picks = []
         for size in sizes:
             candidates = [i for i, e in enumerate(self.runs) if e.count >= size]
             if not candidates:
                 self.runs = saved
                 raise SimulationError("no contiguous run")
             i = rng.choice(candidates) if rng is not None else candidates[0]
+            k = candidates.index(i)
             chunk = self.runs[i]
+            self.picks.append((chunk.start, k, len(candidates)))
             out.append(Extent(chunk.start, size))
             if chunk.count > size:
                 self.runs[i] = Extent(chunk.start + size, chunk.count - size)
@@ -344,21 +351,61 @@ def _coalesce_kind(before: list[Extent], freed: Extent) -> str:
             (False, True): "right", (True, True): "both"}[left, right]
 
 
-def drive_against_twin(seed: int, steps: int) -> set[str]:
+def free_runs(vol: Volume) -> list[tuple[int, int]]:
+    """The volume's free runs in address order, flattened across blocks."""
+    return [run for starts, counts, _ in vol._blocks for run in zip(starts, counts)]
+
+
+def check_index(vol: Volume) -> None:
+    """Assert the blocked free-list index's structural invariants."""
+    assert len(vol._blocks) == len(vol._maxes) == len(vol._firsts)
+    for (starts, counts, lengths), biggest, first in zip(vol._blocks, vol._maxes, vol._firsts):
+        assert 0 < len(starts) == len(counts) <= 2 * _BLOCK
+        assert lengths == sorted(counts)
+        assert biggest == lengths[-1]
+        assert first == starts[0]
+        # A lone block shares the global multiset; blocks of a longer list
+        # each own theirs.
+        assert (lengths is vol._sizes) == (len(vol._blocks) == 1)
+    runs = free_runs(vol)
+    assert all(s + c < t for (s, c), (t, _) in zip(runs, runs[1:]))  # Ordered, coalesced.
+    assert vol._sizes == sorted(c for _, c in runs)
+
+
+def drive_against_twin(seed: int, steps: int, total_blocks: int = 600) -> set[str]:
     """Run one seeded script on a Volume and its twin; return what it hit."""
-    vol = Volume("C", "C", total_blocks=600)
-    twin = ListAllocator(600)
+    vol = Volume("C", "C", total_blocks=total_blocks)
+    twin = ListAllocator(total_blocks)
     rng = random.Random(seed)
     live: list[int] = []
     seen: set[str] = set()
 
     def freed(extents: list[Extent]) -> None:
+        # The volume is still as before the free, so its blocks are current
+        # for the first extent.
+        if extents and extents[0].end in vol._firsts[1:]:
+            seen.add("free-block-edge-" + _coalesce_kind(twin.runs, extents[0]))
         for extent in extents:
             seen.add("free-" + _coalesce_kind(twin.runs, extent))
             twin.free([extent])
 
-    for i in range(steps):
-        action = rng.random()
+    def crossing(size: int, pick: tuple[int, int, int]) -> str | None:
+        """How a seeded pick's walk crossed blocks that had fits, if it did."""
+        start, k, n = pick
+        b = bisect.bisect_right(vol._firsts, start) - 1
+        if k + k < n:  # The walk runs forwards.
+            skipped, direction = vol._blocks[:b], "forward"
+        else:
+            skipped, direction = vol._blocks[b + 1:], "backward"
+        if any(c >= size for _, counts, _ in skipped for c in counts):
+            return "spread-cross-" + direction
+        return None
+
+    i = 0
+    while i < steps or live:
+        blocks_before = len(vol._firsts)
+        # After ``steps`` the script drains: it deletes every live file.
+        action = rng.random() if i < steps else 0.5
         if action < 0.45 or not live:
             blocks = rng.randint(1, 60)
             fragments = rng.randint(1, 4)
@@ -368,6 +415,8 @@ def drive_against_twin(seed: int, steps: int) -> set[str]:
                 expected = twin.allocate(sizes, spread)
             except SimulationError:
                 expected = None
+            if expected and spread is not None:
+                seen.add(crossing(sizes[0], twin.picks[0]) or "spread-in-block")
             try:
                 f = vol.create_file(
                     f"f{i}", blocks * 4096, when=float(i),
@@ -399,11 +448,16 @@ def drive_against_twin(seed: int, steps: int) -> set[str]:
                     freed(new_extents)
                     vol.abort_relocation(new_extents)
                     seen.add("abort")
-        runs = [(e.start, e.count) for e in twin.runs]
-        assert list(zip(vol._starts, vol._counts)) == runs
+        if len(vol._firsts) > blocks_before:
+            seen.add("block-split")
+        if len(vol._firsts) > 2:
+            seen.add("several-blocks")
+        check_index(vol)
+        assert free_runs(vol) == [(e.start, e.count) for e in twin.runs]
         assert vol.free_blocks == sum(e.count for e in twin.runs)
         assert vol.largest_free_extent() == max((e.count for e in twin.runs), default=0)
-        assert vol._sizes == sorted(vol._counts)
+        i += 1
+    assert free_runs(vol) == [(0, total_blocks)]
     return seen
 
 
@@ -419,3 +473,54 @@ class TestFreeListIndex:
             "first-fit", "spread", "failed", "delete", "relocate", "abort",
             "free-alone", "free-left", "free-right", "free-both",
         }
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.integers(0, 1 << 30))
+    def test_matches_list_allocator_across_blocks(self, seed):
+        drive_against_twin(seed, steps=1500, total_blocks=5000)
+
+    def test_script_covers_block_paths(self):
+        with mock.patch.object(
+            Volume, "_merge_next", autospec=True, side_effect=Volume._merge_next
+        ) as merges:
+            seen = drive_against_twin(11, steps=1500, total_blocks=5000)
+        assert seen >= {
+            "several-blocks", "spread-cross-forward", "spread-cross-backward",
+            "free-block-edge-both", "free-block-edge-right", "block-split",
+        }
+        assert merges.called  # A shrunk block merged into a neighbour.
+
+    def test_a_block_whose_runs_are_all_taken_is_dropped(self):
+        vol = Volume("C", "C", total_blocks=20_000)
+        holes = []
+        for i in range(130):
+            # Holes 32..63, the only ones of 20 blocks, make up block 1.
+            size = 20 if 32 <= i < 64 else 10
+            holes.append(vol.create_file(f"h{i}", size * 4096, when=0.0))
+            vol.create_file(f"k{i}", 10 * 4096, when=0.0)
+        for f in holes:
+            vol.delete_file(f.file_id, when=1.0)
+        assert [len(starts) for starts, _, _ in vol._blocks] == [32, 32, 32, 35]
+        for i in range(32):
+            vol.create_file(f"g{i}", 20 * 4096, when=2.0)  # First fit: block 1.
+            check_index(vol)
+        # Its neighbours are too full to merge with, so block 1 empties.
+        assert [len(starts) for starts, _, _ in vol._blocks] == [32, 32, 35]
+
+    def test_filling_the_volume_empties_the_index(self):
+        vol = Volume("C", "C", total_blocks=5000)
+        files = [vol.create_file(f"f{i}", 10 * 4096, when=0.0) for i in range(200)]
+        for f in files[::2]:
+            vol.delete_file(f.file_id, when=1.0)
+        assert len(vol._blocks) > 1  # 100 holes and the tail.
+        check_index(vol)
+        fillers = [vol.create_file(f"g{i}", 10 * 4096, when=2.0) for i in range(100)]
+        check_index(vol)
+        assert free_runs(vol) == [(2000, 3000)]
+        tail = vol.create_file("tail", 3000 * 4096, when=3.0)
+        check_index(vol)
+        assert vol._blocks == [] and vol.largest_free_extent() == 0
+        for f in [tail, *fillers, *files[1::2]]:
+            vol.delete_file(f.file_id, when=4.0)
+            check_index(vol)
+        assert free_runs(vol) == [(0, 5000)]

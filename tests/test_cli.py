@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from repro.cli import main
+from repro.cli import Output, main
 
 
 class TestInfo:
@@ -35,19 +38,52 @@ class TestInfo:
             main(["frobnicate"])
 
 
-class TestFigures:
-    def test_writes_all_tsvs(self, tmp_path, capsys):
+@pytest.fixture(scope="module")
+def figures_run(tmp_path_factory):
+    """One ``--quiet figures`` run with a trace and a metrics snapshot,
+    shared by the tests that check its outputs: each run regenerates every
+    trace figure, which takes seconds.  Its stdout is captured, and every
+    progress line it reported is recorded even though ``--quiet`` keeps it
+    off stdout."""
+    out_dir = tmp_path_factory.mktemp("figures")
+    trace = out_dir / "trace.jsonl"
+    metrics = out_dir / "metrics.json"
+    said: list[str] = []
+    say = Output.say
+
+    def recording_say(self, message=""):
+        said.append(message)
+        say(self, message)
+
+    stdout = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout):
+        mp.setattr(Output, "say", recording_say)
         code = main(
-            ["figures", "--out", str(tmp_path), "--scale", "0.15", "--hours", "2"]
+            [
+                "--quiet", "figures",
+                "--out", str(out_dir),
+                "--scale", "0.15",
+                "--hours", "2",
+                "--trace-out", str(trace),
+                "--metrics-out", str(metrics),
+            ]
         )
-        assert code == 0
+    return SimpleNamespace(
+        code=code, out_dir=out_dir, trace=trace, metrics=metrics,
+        stdout=stdout.getvalue(), said=said,
+    )
+
+
+class TestFigures:
+    def test_writes_all_tsvs(self, figures_run):
+        assert figures_run.code == 0
         for name in (
             "fig7_duty.tsv",
             "fig8_progress.tsv",
             "fig9_isolation.tsv",
             "fig10_calibration.tsv",
         ):
-            path = tmp_path / name
+            path = figures_run.out_dir / name
             assert path.exists(), name
             lines = path.read_text().splitlines()
             assert len(lines) >= 2  # header + data
@@ -195,18 +231,11 @@ class TestFaultsFlightRecorder:
 
 
 class TestQuiet:
-    def test_quiet_suppresses_progress_not_results(self, tmp_path, capsys):
-        code = main(
-            [
-                "--quiet", "figures",
-                "--out", str(tmp_path),
-                "--scale", "0.15",
-                "--hours", "2",
-            ]
-        )
-        assert code == 0
-        assert capsys.readouterr().out == ""  # all figures output is progress
-        assert (tmp_path / "fig7_duty.tsv").exists()
+    def test_quiet_suppresses_progress_not_results(self, figures_run):
+        assert figures_run.code == 0
+        assert figures_run.said  # The run reported progress ...
+        assert figures_run.stdout == ""  # ... and all figures output is progress.
+        assert (figures_run.out_dir / "fig7_duty.tsv").exists()
 
     def test_quiet_keeps_info_results(self, capsys):
         assert main(["--quiet", "info"]) == 0
@@ -214,26 +243,14 @@ class TestQuiet:
 
 
 class TestTraceOut:
-    def test_figures_writes_trace_and_metrics(self, tmp_path, capsys):
-        trace = tmp_path / "trace.jsonl"
-        metrics = tmp_path / "metrics.json"
-        code = main(
-            [
-                "figures",
-                "--out", str(tmp_path),
-                "--scale", "0.15",
-                "--hours", "2",
-                "--trace-out", str(trace),
-                "--metrics-out", str(metrics),
-            ]
-        )
-        assert code == 0
-        assert trace.exists() and trace.stat().st_size > 0
-        snapshot = json.loads(metrics.read_text())
+    def test_figures_writes_trace_and_metrics(self, figures_run):
+        assert figures_run.code == 0
+        assert figures_run.trace.exists() and figures_run.trace.stat().st_size > 0
+        snapshot = json.loads(figures_run.metrics.read_text())
         assert snapshot["counters"]["testpoints"] > 0
-        out = capsys.readouterr().out
-        assert "event trace ->" in out
-        assert "metrics snapshot ->" in out
+        said = "\n".join(figures_run.said)
+        assert "event trace ->" in said
+        assert "metrics snapshot ->" in said
 
 
 class TestBench:

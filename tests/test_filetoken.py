@@ -141,3 +141,31 @@ class TestWithRealTimeRegulator:
         assert done["a"] + done["b"] > 50
         # Both made progress: the token rotates.
         assert done["a"] > 5 and done["b"] > 5
+
+    def test_withdrawal_hands_token_to_peer(self, tmp_path):
+        """A process whose last thread withdraws gives the machine token
+        back: a peer gets it within a few retry intervals, instead of
+        waiting out ``stale_after``."""
+        from repro.core.config import MannersConfig
+        from repro.realtime.adapter import RealTimeRegulator
+
+        token = tmp_path / "manners.token"
+        retry = 0.01
+        config = MannersConfig(
+            bootstrap_testpoints=5, probation_period=0.0, averaging_n=50,
+            min_testpoint_interval=0.002, hung_threshold=5.0,
+        )
+        holder = RealTimeRegulator(
+            config,
+            superintendent=FileTokenSuperintendent(token, retry_interval=retry),
+            process_id="a",
+        )
+        holder.testpoint([1.0])
+        assert token.exists()  # The holder's process holds the token.
+        holder.release()
+        peer = FileTokenSuperintendent(token, retry_interval=retry)
+        peer.register_process("b")
+        deadline = time.monotonic() + 5 * retry
+        while not peer.acquire("b", time.monotonic()):
+            assert time.monotonic() < deadline, "peer still locked out after withdrawal"
+            time.sleep(retry)

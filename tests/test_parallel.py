@@ -1,4 +1,4 @@
-"""Parallel trial execution: determinism, caching, counter merging."""
+"""Parallel trial execution: determinism and caching."""
 
 from __future__ import annotations
 
@@ -10,13 +10,11 @@ import pytest
 from repro.analysis.parallel import (
     ParallelRunner,
     TrialCache,
-    TrialEnvelope,
     code_fingerprint,
     config_fingerprint,
     resolve_jobs,
 )
 from repro.experiments.scenarios import MEASURED_SCENARIOS, measured_trial
-from repro.obs import MetricsRegistry, Telemetry
 
 #: Tiny geometry so a full parity matrix stays in test-suite time.
 SCALE = 0.01
@@ -25,13 +23,6 @@ SCALE = 0.01
 def _double(seed):
     """Module-level (picklable) trial: deterministic pure function."""
     return {"seed": seed, "value": seed * 2}
-
-
-def _counting_trial(seed, telemetry=None):
-    """Picklable trial that reports per-trial counters via telemetry."""
-    telemetry.metrics.inc("trials.run")
-    telemetry.metrics.inc("trials.seedsum", float(seed))
-    return seed * 2
 
 
 class TestResolveJobs:
@@ -169,49 +160,3 @@ class TestTrialCache:
         entry = json.loads(path.read_text(encoding="utf-8"))
         assert entry == {"name": "t", "key": key, "value": [1, 2]}
 
-
-class TestTelemetryMerge:
-    def test_counters_merge_additively(self):
-        telemetry = Telemetry(metrics=MetricsRegistry())
-        out = ParallelRunner(jobs=1).run(
-            _counting_trial, trials=5, seed_base=10, telemetry=telemetry
-        )
-        assert out == [20, 22, 24, 26, 28]
-        counters = telemetry.metrics.snapshot()["counters"]
-        assert counters["trials.run"] == 5
-        assert counters["trials.seedsum"] == sum(range(10, 15))
-
-    def test_parallel_merge_matches_serial(self):
-        serial = Telemetry(metrics=MetricsRegistry())
-        fanned = Telemetry(metrics=MetricsRegistry())
-        a = ParallelRunner(jobs=1).run(
-            _counting_trial, trials=6, seed_base=0, telemetry=serial
-        )
-        b = ParallelRunner(jobs=4).run(
-            _counting_trial, trials=6, seed_base=0, telemetry=fanned
-        )
-        assert a == b
-        assert (
-            serial.metrics.snapshot()["counters"]
-            == fanned.metrics.snapshot()["counters"]
-        )
-
-    def test_cached_trials_contribute_no_counters(self, tmp_path):
-        cache = TrialCache(tmp_path)
-        warm = Telemetry(metrics=MetricsRegistry())
-        ParallelRunner(jobs=1, cache=cache).run(
-            _counting_trial, trials=3, seed_base=0, telemetry=warm,
-            cache_name="t", cache_config=None,
-        )
-        cold = Telemetry(metrics=MetricsRegistry())
-        ParallelRunner(jobs=1, cache=cache).run(
-            _counting_trial, trials=3, seed_base=0, telemetry=cold,
-            cache_name="t", cache_config=None,
-        )
-        assert "trials.run" not in cold.metrics.snapshot()["counters"]
-
-
-class TestEnvelope:
-    def test_envelope_defaults(self):
-        env = TrialEnvelope(index=0, seed=5, value=1)
-        assert env.counters == {}
